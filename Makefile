@@ -1,18 +1,20 @@
 GO ?= go
 
-.PHONY: help check vet build test race race-core bench profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history serve loadtest serve-contract
+.PHONY: help check vet build test race race-core bench e2e-bench loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history serve loadtest serve-contract
 
 help:
 	@echo "Targets:"
 	@echo "  check               fmt-check + vet + lint + build + race-core + race + invariants"
 	@echo "  test                go test ./..."
 	@echo "  race                go test -race ./..."
-	@echo "  bench               quick experiment suite + perf gates (BENCH_4..9.json)"
+	@echo "  bench               quick experiment suite + perf gates (BENCH_4, 6..9.json; BENCH_5.json is a frozen record)"
+	@echo "  e2e-bench           quick pass of the repo benchmark (BENCHMARK.json: daemon subprocess, four workloads)"
+	@echo "  loc                 non-test Go line count outside benchmark/ and lint fixtures (ROADMAP item 2 gate)"
 	@echo "  deep-history        surrogate tier determinism tests + quick scaling gate (rides in check)"
 	@echo "  serve               run the tuning daemon locally (store: ./.autotuned; SIGTERM drains)"
 	@echo "  loadtest            full tuning-as-a-service load run against a fresh daemon (BENCH_7 shape)"
 	@echo "  serve-contract      service robustness tests: overload shedding, graceful drain, kill -9 recovery"
-	@echo "  profile             CPU/heap pprof of the multi-session benchmark (cpu.pprof, mem.pprof)"
+	@echo "  profile             CPU/heap pprof of the quick surrogate scaling benchmark (cpu.pprof, mem.pprof)"
 	@echo "  soak                long-running race soak of sched + trial"
 	@echo "  crash               full fault-injection torture of the study store (every fault point, every byte prefix)"
 	@echo "  crash-quick         sampled torture sweep (the slice of crash that rides in check)"
@@ -115,15 +117,24 @@ race-core:
 bench:
 	$(GO) run ./cmd/bench -quick
 	$(GO) run ./cmd/bench -suggestbench -minspeedup 10 -out BENCH_4.json
-	$(GO) run ./cmd/bench -sessions -minspeedup 2 -minallocratio 10 -out BENCH_5.json
 	$(GO) run ./cmd/bench -replay -minreplay 100000 -out BENCH_6.json
 	$(GO) run ./cmd/bench -serve -minstudies 1000 -minsuggest 50000 -out BENCH_7.json
 	$(GO) run ./cmd/bench -scalebench -minspeedup 10 -maxregret 1.5 -out BENCH_8.json
 	$(GO) run ./cmd/bench -observebench -minobserveratio 10 -minobserve 1000 -out BENCH_9.json
 	$(GO) test -bench 'Benchmark(GPPredict|BOSuggest|SpaceEncode)' -benchmem -run xxx .
 
+# The repo benchmark (BENCHMARK.json, benchmark/README.md) at smoke scale:
+# every end-to-end figure comes from here, not from cmd/bench.
+e2e-bench:
+	$(GO) run ./benchmark -quick
+
+# ROADMAP item 2's size gate in one command: non-test Go lines outside the
+# benchmark harness and the lint fixtures.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/lint/testdata/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
 profile:
-	$(GO) run ./cmd/bench -sessions -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/bench -scalebench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "inspect with: go tool pprof -top cpu.pprof   (or mem.pprof)"
 
 soak:

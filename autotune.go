@@ -14,7 +14,7 @@
 //   - the offline tuning loop with crash handling, early abort, fidelity
 //     and parallel trials (internal/trial), backed by an asynchronous
 //     scheduler with straggler hedging, panic isolation, and a crash-safe
-//     write-ahead trial journal (internal/sched);
+//     write-ahead trial journal (internal/sched, internal/studystore);
 //   - an online tuning agent with guardrails and pluggable policies
 //     (Q-learning knob deltas, contextual hybrid bandits);
 //   - simulated tunable systems — an analytic DBMS, a Redis/kernel model,
@@ -143,14 +143,6 @@ type (
 // its value and stack ride on the error.
 var ErrPanic = trial.ErrPanic
 
-// ReadTrialJournal loads the intact records from a write-ahead trial
-// journal (TuneOptions.Journal), sorted by trial ID with duplicates
-// dropped. A missing file is an empty journal; a torn final line — the
-// mark of a crash mid-append — is skipped, while a corrupt *interior*
-// record errors. A directory path is read transparently as a segmented
-// study store, merged across studies.
-var ReadTrialJournal = trial.ReadJournal
-
 // OpenStudyJournal opens (creating if needed) the crash-safe segmented
 // study store at dir and returns a sink journaling trials into the named
 // study — the programmatic form of TuneOptions.Store/Study.
@@ -160,12 +152,6 @@ var OpenStudyJournal = trial.OpenStudyJournal
 // store at dir, sorted by ID with duplicates dropped. A missing
 // directory is an empty study.
 var ReadStudyTrials = trial.ReadStudyJournal
-
-// MigrateTrialJournal moves a v0 single-file journal into the segmented
-// study store at dir under the named study, removing the v0 file once
-// every record is durable in the store. Re-running a partial migration
-// is safe.
-var MigrateTrialJournal = trial.MigrateJournal
 
 // Resilient-execution types (internal/resilience): fault-tolerant trial
 // execution with retries, deadlines, quarantine, and fault injection.
@@ -251,9 +237,10 @@ func TuneContext(ctx context.Context, o Optimizer, env Environment, opts TuneOpt
 }
 
 // ResumeTune continues a killed tuning session from
-// TuneOptions.Checkpoint and/or the write-ahead journal at
-// TuneOptions.Journal: recorded trials are replayed into the optimizer
-// without re-running them, then the loop finishes the remaining budget.
+// TuneOptions.Checkpoint and/or the write-ahead journal in the study
+// store at TuneOptions.Store: recorded trials are replayed into the
+// optimizer without re-running them, then the loop finishes the
+// remaining budget.
 // The journal is the finer-grained source — it keeps trials finished
 // after the last checkpoint, so a kill mid-batch loses nothing.
 func ResumeTune(o Optimizer, env Environment, opts TuneOptions) (Report, error) {

@@ -13,17 +13,15 @@
 //	autotune -system simdb -budget 200 -checkpoint ckpt.json
 //	autotune -system simdb -budget 200 -checkpoint ckpt.json -resume
 //
-// Asynchronous scheduling (hedged stragglers, write-ahead trial journal):
+// Asynchronous scheduling (hedged stragglers):
 //
 //	autotune -system simdb -parallel 8 -sched -hedge 0.9 -faults 0.2
-//	autotune -system simdb -budget 200 -journal trials.wal
-//	autotune -system simdb -budget 200 -journal trials.wal -resume
 //
-// Persistent study store (segmented, crash-safe, multi-study):
+// Persistent study store (the write-ahead trial journal: segmented,
+// crash-safe, multi-study):
 //
 //	autotune -system simdb -budget 200 -store studies/
 //	autotune -system simdb -budget 200 -store studies/ -resume
-//	autotune -system simdb -journal trials.wal -store studies/   # migrate v0 journal
 package main
 
 import (
@@ -66,10 +64,9 @@ type cliOptions struct {
 	sched   bool    // enable the async scheduler even without hedging
 	workers int     // worker slots (0 = one per parallel trial)
 	hedge   float64 // straggler hedge quantile in (0,1) (0 = off)
-	journal string  // write-ahead trial journal path
 
 	// Persistent study store.
-	store string // segmented study store directory (supersedes -journal)
+	store string // segmented study store directory (the write-ahead trial journal)
 	study string // study name inside -store ("" = derived from system/workload)
 
 	// Performance.
@@ -98,12 +95,11 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 0, "retry transient trial failures this many times (exponential backoff)")
 	flag.DurationVar(&o.trialTimeout, "trial-timeout", 0, "per-trial deadline (0 = unbounded)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint the run to this file (enables -resume)")
-	flag.BoolVar(&o.resume, "resume", false, "resume from -checkpoint/-journal instead of starting over")
+	flag.BoolVar(&o.resume, "resume", false, "resume from -checkpoint/-store instead of starting over")
 	flag.BoolVar(&o.sched, "sched", false, "run trials on the asynchronous scheduler instead of the batch barrier")
 	flag.IntVar(&o.workers, "workers", 0, "scheduler worker slots (0 = one per parallel trial)")
 	flag.Float64Var(&o.hedge, "hedge", 0, "hedge stragglers past this quantile of recent durations (0 = off, implies -sched)")
-	flag.StringVar(&o.journal, "journal", "", "append every completed trial to this fsync'd write-ahead journal")
-	flag.StringVar(&o.store, "store", "", "journal trials into the crash-safe segmented study store at this directory (with -journal: migrate the journal in first)")
+	flag.StringVar(&o.store, "store", "", "journal every completed trial into the crash-safe segmented study store at this directory before the optimizer observes it")
 	flag.StringVar(&o.study, "study", "", "study name inside -store (default: <system>-<workload>)")
 	flag.BoolVar(&o.dedup, "dedup", false, "reuse cached results for repeated (config, fidelity) evaluations")
 	flag.IntVar(&o.gpWorkers, "gp-workers", 0, "GP surrogate gram/predict goroutines (0 = GOMAXPROCS; results are identical for any value)")
@@ -209,7 +205,7 @@ func run(o cliOptions) error {
 	}
 	topts := trial.Options{
 		Budget: o.budget, Parallel: o.parallel, AbortMargin: o.abortMargin, Fidelity: o.fidelity,
-		Checkpoint: o.checkpoint, Journal: o.journal, DedupEvals: o.dedup,
+		Checkpoint: o.checkpoint, DedupEvals: o.dedup,
 	}
 	var storeSink *trial.StudyJournal
 	if o.store != "" {
@@ -217,18 +213,6 @@ func run(o cliOptions) error {
 		topts.Study = o.study
 		if topts.Study == "" {
 			topts.Study = o.system + "-" + o.wlName
-		}
-		if o.journal != "" {
-			// Fold the v0 journal into the store so the run (and any
-			// resume) sees one durable history, then journal there only.
-			n, err := trial.MigrateJournal(o.journal, o.store, topts.Study)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				fmt.Printf("migrated %d journal records from %s into %s\n", n, o.journal, o.store)
-			}
-			topts.Journal = ""
 		}
 		// Own the store handle instead of letting the run open its own:
 		// the end-of-run stats line then reports the write path this run
@@ -255,13 +239,10 @@ func run(o cliOptions) error {
 	ctx := context.Background()
 	var rep trial.Report
 	if o.resume {
-		if o.checkpoint == "" && o.journal == "" && o.store == "" {
-			return fmt.Errorf("-resume needs -checkpoint, -journal, or -store")
+		if o.checkpoint == "" && o.store == "" {
+			return fmt.Errorf("-resume needs -checkpoint or -store")
 		}
 		from := o.checkpoint
-		if from == "" {
-			from = o.journal
-		}
 		if from == "" {
 			from = o.store
 		}

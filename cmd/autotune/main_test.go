@@ -219,23 +219,6 @@ func TestRunHedgedBitwiseDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunJournalThenResume drives the WAL path end to end from the CLI:
-// a run journals every trial, and a -resume run replays the journal
-// (re-running nothing) even though no checkpoint was ever written.
-func TestRunJournalThenResume(t *testing.T) {
-	o := base()
-	o.budget = 8
-	o.journal = filepath.Join(t.TempDir(), "trials.wal")
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	o.resume = true
-	out := captureRun(t, o)
-	if !strings.Contains(out, "resumed: 8") {
-		t.Fatalf("resume did not replay the journal:\n%s", out)
-	}
-}
-
 // TestRunStoreThenResume drives the segmented study store end to end
 // from the CLI: a run journals into -store, a -resume run replays it
 // (re-running nothing), and the store stats line reports the records.
@@ -251,31 +234,6 @@ func TestRunStoreThenResume(t *testing.T) {
 	out = captureRun(t, o)
 	if !strings.Contains(out, "resumed: 8") {
 		t.Fatalf("resume did not replay the store:\n%s", out)
-	}
-}
-
-// TestRunJournalMigratesIntoStore: giving both -journal and -store folds
-// the v0 journal into the store and resumes from the merged history.
-func TestRunJournalMigratesIntoStore(t *testing.T) {
-	tmp := t.TempDir()
-	o := base()
-	o.budget = 8
-	o.journal = filepath.Join(tmp, "trials.wal")
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-
-	o.store = filepath.Join(tmp, "studies")
-	o.resume = true
-	out := captureRun(t, o)
-	if !strings.Contains(out, "migrated 8 journal records") {
-		t.Fatalf("migration line missing:\n%s", out)
-	}
-	if !strings.Contains(out, "resumed: 8") {
-		t.Fatalf("resume did not replay the migrated history:\n%s", out)
-	}
-	if _, err := os.Stat(o.journal); !os.IsNotExist(err) {
-		t.Fatalf("v0 journal still present after migration: %v", err)
 	}
 }
 

@@ -46,7 +46,6 @@ func main() {
 		optimizer    = flag.String("optimizer", "bo", "default strategy for studies that do not name one")
 		shards       = flag.Int("shards", 0, "study shard count (0 = GOMAXPROCS); studies on different shards never contend on one lock")
 		shardStores  = flag.Bool("shard-stores", false, "give every shard its own store directory under -store (independent commit queues)")
-		noGroup      = flag.Bool("no-group-commit", false, "disable group commit: every observe batch pays its own fsync (benchmark baseline)")
 		quiet        = flag.Bool("quiet", false, "suppress operational logging")
 	)
 	flag.Parse()
@@ -60,17 +59,16 @@ func main() {
 		logger = nil
 	}
 	srv, err := server.New(server.Options{
-		StoreDir:           *store,
-		SegmentBytes:       *segmentBytes,
-		AdmissionLimit:     *admission,
-		ReadyHighWater:     *highWater,
-		RequestTimeout:     *reqTimeout,
-		DrainTimeout:       *drainTimeout,
-		DefaultOptimizer:   *optimizer,
-		Shards:             *shards,
-		ShardStores:        *shardStores,
-		DisableGroupCommit: *noGroup,
-		Log:                logger,
+		StoreDir:         *store,
+		SegmentBytes:     *segmentBytes,
+		AdmissionLimit:   *admission,
+		ReadyHighWater:   *highWater,
+		RequestTimeout:   *reqTimeout,
+		DrainTimeout:     *drainTimeout,
+		DefaultOptimizer: *optimizer,
+		Shards:           *shards,
+		ShardStores:      *shardStores,
+		Log:              logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "autotuned: %v\n", err)

@@ -8,13 +8,11 @@
 //	bench -quick               # CI-scale budgets
 //	bench -suggestbench -out BENCH_4.json -minspeedup 10
 //	                           # suggest-path scaling benchmark (PR 4)
-//	bench -sessions -out BENCH_5.json -minspeedup 2 -minallocratio 10
-//	                           # multi-session throughput benchmark (PR 5)
-//	bench -sessions -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //	bench -replay -out BENCH_6.json -minreplay 100000
 //	                           # study-store write/replay benchmark (PR 6)
 //	bench -scalebench -out BENCH_8.json -minspeedup 10 -maxregret 1.5
 //	                           # surrogate tier scaling benchmark (PR 9)
+//	bench -scalebench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -36,14 +34,12 @@ func main() {
 		quick     = flag.Bool("quick", false, "shrink budgets and seed counts")
 		seed      = flag.Int64("seed", 20250706, "random seed")
 		suggest   = flag.Bool("suggestbench", false, "run the suggest-path scaling benchmark instead of the experiment suite")
-		sessions  = flag.Bool("sessions", false, "run the multi-session throughput benchmark instead of the experiment suite")
 		replay    = flag.Bool("replay", false, "run the study-store write/replay benchmark instead of the experiment suite")
 		serve     = flag.Bool("serve", false, "run the tuning-as-a-service load benchmark instead of the experiment suite")
 		scale     = flag.Bool("scalebench", false, "run the surrogate tier scaling benchmark (BENCH_8) instead of the experiment suite")
 		observeB  = flag.Bool("observebench", false, "run the durable observe throughput benchmark (BENCH_9) instead of the experiment suite")
 		out       = flag.String("out", "", "write benchmark results to this JSON file")
 		minSpeed  = flag.Float64("minspeedup", 0, "fail unless the benchmark speedup reaches this factor (0 disables)")
-		minAlloc  = flag.Float64("minallocratio", 0, "with -sessions: relax -minspeedup to 2x when allocs/session shrink by this factor (0 disables)")
 		minReplay = flag.Float64("minreplay", 0, "with -replay: fail unless replay sustains this many records/sec (0 disables)")
 		minStudy  = flag.Int("minstudies", 0, "with -serve: fail unless this many concurrent studies are sustained (0 disables)")
 		minSugg   = flag.Float64("minsuggest", 0, "with -serve: fail unless this many suggests/sec are sustained (0 disables)")
@@ -109,13 +105,6 @@ func main() {
 	}
 	if *replay {
 		if err := runReplayBench(*quick, *out, *minReplay); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sessions {
-		if err := runSessionsBench(*quick, *seed, *out, *minSpeed, *minAlloc); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -236,67 +225,6 @@ func runSuggestBench(quick bool, seed int64, outPath string, minSpeedup float64)
 		if last.SurrogateRatio < minSpeedup {
 			return fmt.Errorf("suggestbench: surrogate speedup at n=%d is %.1fx, want >= %.0fx",
 				last.N, last.SurrogateRatio, minSpeedup)
-		}
-	}
-	return nil
-}
-
-// runSessionsBench runs the multi-session throughput benchmark (legacy
-// allocating loop vs the flat-buffer loop + evaluation cache), prints it,
-// optionally writes JSON, and optionally enforces the PR-5 gate: the
-// required throughput speedup (default interpretation: minSpeedup), relaxed
-// to 2x when allocations per session shrank by at least minAllocRatio.
-func runSessionsBench(quick bool, seed int64, outPath string, minSpeedup, minAllocRatio float64) error {
-	start := time.Now()
-	res, err := experiments.SessionsThroughput(quick, seed)
-	if err != nil {
-		return fmt.Errorf("sessions: %w", err)
-	}
-	tab := experiments.Table{
-		ID:    "B5",
-		Title: "Multi-session throughput: legacy allocating loop vs zero-allocation loop",
-		Claim: "workspace pooling, flat-buffer acquisition search, and the eval cache multiply whole-session throughput",
-		Headers: []string{"arm", "sessions", "trials/sess", "wall (s)", "sess/s",
-			"allocs/sess", "MB/sess", "suggest p50 (ms)", "suggest p99 (ms)", "mean best"},
-		Notes: fmt.Sprintf("speedup %.2fx, alloc ratio %.1fx", res.Speedup, res.AllocRatio),
-	}
-	for _, a := range []experiments.SessionsArm{res.Legacy, res.Optimized} {
-		tab.Rows = append(tab.Rows, []string{
-			a.Name,
-			fmt.Sprintf("%d", a.Sessions),
-			fmt.Sprintf("%d", a.TrialsPerSession),
-			fmt.Sprintf("%.2f", a.WallSeconds),
-			fmt.Sprintf("%.2f", a.SessionsPerSec),
-			fmt.Sprintf("%.0f", a.AllocsPerSession),
-			fmt.Sprintf("%.1f", a.MBPerSession),
-			fmt.Sprintf("%.2f", a.SuggestP50Ms),
-			fmt.Sprintf("%.2f", a.SuggestP99Ms),
-			fmt.Sprintf("%.4f", a.MeanBest),
-		})
-	}
-	printTable(tab, time.Since(start))
-	if outPath != "" {
-		doc := struct {
-			Benchmark string                     `json:"benchmark"`
-			Quick     bool                       `json:"quick"`
-			Seed      int64                      `json:"seed"`
-			Result    experiments.SessionsResult `json:"result"`
-		}{"multi-session-throughput", quick, seed, res}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if minSpeedup > 0 {
-		pass := res.Speedup >= 5 ||
-			(res.Speedup >= minSpeedup && (minAllocRatio <= 0 || res.AllocRatio >= minAllocRatio))
-		if !pass {
-			return fmt.Errorf("sessions: speedup %.2fx (alloc ratio %.1fx), want >= 5x or >= %.0fx with allocs/session down %.0fx",
-				res.Speedup, res.AllocRatio, minSpeedup, minAllocRatio)
 		}
 	}
 	return nil

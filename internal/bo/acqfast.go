@@ -10,22 +10,37 @@ import (
 	"autotune/internal/space"
 )
 
-// This file is the allocation-free acquisition search. It replaces the
-// per-candidate Config/encode/Key churn of the legacy loop (acqsearch.go)
-// with flat buffers: candidates are drawn straight into reusable scalar and
-// encoding vectors by a space.EncodedSampler, scored through gp.PredictN,
+// This file is the acquisition search. It is allocation-free when warm:
+// candidates are drawn straight into reusable scalar and encoding vectors by
+// a space.EncodedSampler, scored through the surrogate's PredictN,
 // deduplicated against an incrementally-maintained set of encoded keys, and
-// only the winning candidate is materialized into a Config. Determinism is
-// preserved exactly as in the legacy search: restart RNG streams depend only
-// on (one draw from b.rng, restart index), and restarts reduce in index
-// order with strict >.
+// only the winning candidate is materialized into a Config. It is
+// deterministic for any worker count: restart RNG streams depend only on
+// (one draw from b.rng, restart index), and restarts reduce in index order
+// with strict >.
 //
-// Dedup semantics differ deliberately from the legacy loop: the legacy
-// search keys on Config.Key() (typed values, so two configs differing only
-// in an inactive conditional are distinct), while this path keys on the
-// encoded vector (inactive conditionals collapse to their default, matching
-// what the surrogate can actually distinguish). Both are valid "already
-// evaluated" notions; seeded runs of one path are self-consistent.
+// Dedup keys on the encoded vector, not Config.Key(): two configs differing
+// only in an inactive conditional collapse to one entry, matching what the
+// surrogate can actually distinguish.
+
+// cand pairs a configuration with its acquisition score.
+type cand struct {
+	cfg   space.Config
+	score float64
+}
+
+// searchSeed derives the RNG seed for one restart from the search's base
+// seed via a SplitMix64-style mix, so restart streams are decorrelated yet
+// fully determined by (base seed, restart index) — never by which worker
+// ran the restart or when. The forest tier's bootstrap rng and the trust
+// regions' box searches derive their streams the same way.
+func searchSeed(base int64, restart int) int64 {
+	z := uint64(base) + uint64(restart+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z & 0x7fffffffffffffff)
+}
 
 // acqWorkspace is one search worker's reusable state. Buffers grow to the
 // candidate block size on first use and are then flat-reused, so a warm
@@ -133,7 +148,7 @@ func (b *BO) encodeInto(cfg space.Config, buf []float64) {
 // runRestartFast samples and scores one restart's candidate block through
 // the flat buffers. It reads shared state (space, model, seenEnc) and writes
 // only its own workspace and outcome, so restarts run concurrently; panics
-// become errors as in the legacy path.
+// become errors so one bad kernel input cannot kill the worker pool.
 //
 //autolint:hotpath
 func (b *BO) runRestartFast(model surModel, best float64, seed int64, nCand int, ws *acqWorkspace, out *fastOutcome) {
@@ -171,10 +186,12 @@ func (b *BO) runRestartFast(model surModel, best float64, seed int64, nCand int,
 	}
 }
 
-// searchAcqFast is the flat-buffer twin of the legacy searchAcq: identical
-// restart seeding, worker-pool shape, and index-order strict-> reduction, so
-// suggestions are bitwise-identical for any AcqWorkers value. Exactly one
-// value is consumed from b.rng per search.
+// searchAcqFast is the deterministic parallel multi-start acquisition
+// search. Candidates are split across AcqRestarts restarts; each restart
+// draws from its own RNG seeded by (one draw from b.rng, restart index) and
+// restarts are reduced strictly in index order with a strict > comparison,
+// so the result is bitwise-identical for any AcqWorkers value and any
+// goroutine schedule. Exactly one value is consumed from b.rng per search.
 func (b *BO) searchAcqFast(model surModel, best float64) (top, topAny cand, err error) {
 	restarts := b.opts.AcqRestarts
 	per := (b.opts.Candidates + restarts - 1) / restarts
@@ -208,6 +225,8 @@ func (b *BO) searchAcqFast(model surModel, best float64) (top, topAny cand, err 
 			b.runRestartFast(model, best, searchSeed(baseSeed, i), per, ws, &results[i])
 		}
 	} else {
+		// Pre-filled buffered channel: workers drain it and exit when it is
+		// empty, so no sender can block even if a worker dies.
 		jobs := make(chan int, restarts)
 		for i := 0; i < restarts; i++ {
 			jobs <- i
@@ -220,6 +239,8 @@ func (b *BO) searchAcqFast(model surModel, best float64) (top, topAny cand, err 
 			wg.Add(1)
 			go func(ws *acqWorkspace) {
 				defer func() {
+					// runRestartFast recovers its own panics; this guards the
+					// loop plumbing so the pool always unblocks wg.Wait.
 					if r := recover(); r != nil {
 						mu.Lock()
 						if poolErr == nil {
@@ -267,9 +288,11 @@ func (b *BO) searchAcqFast(model surModel, best float64) (top, topAny cand, err 
 	return top, topAny, nil
 }
 
-// maximizeAcqFast mirrors maximizeAcqLegacy over the flat search: encoded
-// dedup, optional local refinement, random fallback.
-func (b *BO) maximizeAcqFast(model surModel) (space.Config, error) {
+// maximizeAcq runs the multi-start acquisition search (see searchAcqFast),
+// optionally refines the best numeric point locally, and dedups against
+// already-evaluated configs. The incumbent comes from the model itself
+// (MinY), so fantasized observations on a cloned surrogate participate.
+func (b *BO) maximizeAcq(model surModel) (space.Config, error) {
 	best := model.MinY()
 	b.ensureSampler()
 	b.syncSeen()
@@ -282,6 +305,8 @@ func (b *BO) maximizeAcqFast(model surModel) (space.Config, error) {
 	}
 	if b.opts.RefineIters > 0 && top.cfg != nil {
 		refined := b.refine(model, top.cfg, best)
+		// Refinement decodes arbitrary cube points, which can step outside
+		// declared constraints; discard such candidates.
 		if refined != nil && b.space.Validate(refined) != nil {
 			refined = nil
 		}

@@ -65,13 +65,6 @@ type Options struct {
 	// whenever it is exactly equivalent. Kept as a benchmark arm and
 	// escape hatch.
 	FullRefit bool
-	// LegacyLoop disables the flat-buffer acquisition search and the
-	// surrogate's reused-workspace paths, restoring the allocating
-	// per-candidate loop. Off by default; kept as a benchmark arm and
-	// escape hatch. The two loops make identical seeded random draws but
-	// deduplicate differently (typed config keys vs encoded vectors), so
-	// their suggestions are not required to coincide.
-	LegacyLoop bool
 	// GPWorkers bounds the goroutines the surrogate uses for gram
 	// construction and batched prediction (default GOMAXPROCS). Every
 	// value produces bitwise-identical models: rows are partitioned by
@@ -392,7 +385,6 @@ func (b *BO) gpModelForTier() gpModel {
 		return g
 	}
 	g := gp.New(b.opts.Kernel.Clone(), b.opts.Noise)
-	g.SetLegacyAlloc(b.opts.LegacyLoop)
 	g.SetWorkers(b.opts.GPWorkers)
 	b.model = g
 	return g
@@ -505,55 +497,6 @@ func (b *BO) stratifiedSample(i int) space.Config {
 		}
 	}
 	return b.space.Clip(cfg)
-}
-
-// maximizeAcq dispatches between the flat-buffer acquisition search
-// (acqfast.go, the default) and the allocating legacy loop kept as a
-// benchmark arm.
-func (b *BO) maximizeAcq(model surModel) (space.Config, error) {
-	if b.opts.LegacyLoop {
-		return b.maximizeAcqLegacy(model)
-	}
-	return b.maximizeAcqFast(model)
-}
-
-// maximizeAcqLegacy runs the multi-start acquisition search (see searchAcq),
-// optionally refines the best numeric point locally, and dedups against
-// already-evaluated configs. The incumbent comes from the model itself
-// (MinY), so fantasized observations on a cloned surrogate participate.
-func (b *BO) maximizeAcqLegacy(model surModel) (space.Config, error) {
-	best := model.MinY()
-	seen := make(map[string]bool, b.N())
-	for _, obs := range b.History() {
-		seen[obs.Config.Key()] = true
-	}
-	top, topAny, err := b.searchAcq(model, best, seen)
-	if err != nil {
-		return nil, err
-	}
-	if top.cfg == nil {
-		top = topAny // everything seen (tiny discrete space): repeat is fine
-	}
-	if b.opts.RefineIters > 0 && top.cfg != nil {
-		refined := b.refine(model, top.cfg, best)
-		// Refinement decodes arbitrary cube points, which can step outside
-		// declared constraints; discard such candidates.
-		if refined != nil && b.space.Validate(refined) != nil {
-			refined = nil
-		}
-		if refined != nil && !seen[refined.Key()] {
-			mu, v, err := model.Predict(b.encode(refined))
-			if err == nil {
-				if sc := b.opts.Acq.Score(mu, math.Sqrt(v), best); sc > top.score {
-					top = cand{refined, sc}
-				}
-			}
-		}
-	}
-	if top.cfg == nil {
-		return b.space.Sample(b.rng), nil
-	}
-	return top.cfg, nil
 }
 
 // refine runs Nelder-Mead on the unit-cube encoding around cfg, maximizing

@@ -70,44 +70,6 @@ func TestGPWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestLegacyLoopStillWorks keeps the benchmark arm honest: the allocating
-// loop must still run end to end and reach a sane Branin value, and the
-// flat loop must do at least as well on the same budget order.
-func TestLegacyLoopStillWorks(t *testing.T) {
-	f := testfunc.Branin()
-	budget := 35
-	run := func(opts Options, seed int64) float64 {
-		b := NewWith(f.Space, rand.New(rand.NewSource(seed)), opts)
-		best := 0.0
-		for i := 0; i < budget; i++ {
-			cfg, err := b.Suggest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			y := f.Eval(cfg)
-			if i == 0 || y < best {
-				best = y
-			}
-			if err := b.Observe(cfg, y); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return best
-	}
-	base := Options{OneHot: true, RefineIters: 40, FitHyperEvery: 10}
-	legacyOpts := base
-	legacyOpts.LegacyLoop = true
-	legacy := run(legacyOpts, 21)
-	fast := run(base, 21)
-	// Branin's global minimum is ~0.398; both loops should get close.
-	if legacy > 2.0 {
-		t.Fatalf("legacy loop best %v, want < 2.0", legacy)
-	}
-	if fast > 2.0 {
-		t.Fatalf("fast loop best %v, want < 2.0", fast)
-	}
-}
-
 // TestFastDedupAvoidsRepeats: on a tiny discrete space where the candidate
 // pool quickly covers everything, the encoded dedup must still prefer
 // unevaluated configurations while history has gaps.

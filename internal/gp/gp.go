@@ -32,11 +32,8 @@ type GP struct {
 	noise float64
 
 	// workers bounds goroutines for row-parallel gram construction and
-	// PredictN (0 = GOMAXPROCS). legacy routes everything through the
-	// PR-4-era allocating paths — the baseline arm of the sessions
-	// throughput benchmark.
+	// PredictN (0 = GOMAXPROCS).
 	workers int
-	legacy  bool
 
 	// Fitted state.
 	x      [][]float64
@@ -102,17 +99,7 @@ func (g *GP) SetNoise(v float64) {
 // by exactly one worker, so results are bitwise identical for any setting.
 func (g *GP) SetWorkers(n int) { g.workers = n }
 
-// SetLegacyAlloc routes Fit, Observe, Predict, and FitHyper through the
-// PR-4-era allocating implementations: fresh matrices and vectors per call,
-// no squared-distance cache, serial gram construction. It exists as the
-// baseline arm of the sessions throughput benchmark and for differential
-// tests of the workspace paths; results are numerically identical.
-func (g *GP) SetLegacyAlloc(on bool) { g.legacy = on }
-
 func (g *GP) effWorkers() int {
-	if g.legacy {
-		return 1
-	}
 	if g.workers > 0 {
 		return g.workers
 	}
@@ -190,9 +177,6 @@ func reshapeSquare(m *linalg.Matrix, n int) *linalg.Matrix {
 // calls, so refitting a model in a loop (FitHyper's objective) allocates
 // only on growth.
 func (g *GP) Fit(x [][]float64, y []float64) error {
-	if g.legacy {
-		return g.fitLegacy(x, y)
-	}
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("%w: %d inputs, %d targets", ErrNoData, len(x), len(y))
 	}
@@ -229,43 +213,6 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		return fmt.Errorf("gp: fit: %w", err)
 	}
 	g.gram, g.gramX, g.jitter, g.hyperSig = k, g.x, jit, sig
-	g.fitted = true
-	return nil
-}
-
-// fitLegacy is the PR-4 Fit: fresh target, gram, factor, and alpha
-// allocations on every call. Kept verbatim as the benchmark baseline.
-func (g *GP) fitLegacy(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("%w: %d inputs, %d targets", ErrNoData, len(x), len(y))
-	}
-	g.yMean = stats.Mean(y)
-	g.yScale = stats.StdDev(y)
-	if g.yScale == 0 || math.IsNaN(g.yScale) {
-		g.yScale = 1
-	}
-	g.yNorm = make([]float64, len(y))
-	for i, v := range y {
-		g.yNorm[i] = (v - g.yMean) / g.yScale
-	}
-	g.yRaw = append([]float64(nil), y...)
-	g.x = x[:len(x):len(x)]
-
-	sig := append(g.kernel.Hyper(), g.noise)
-	k := g.gramForLegacy(x, sig)
-	l, jit, err := linalg.CholeskyJitter(k, 1e-3)
-	if err != nil {
-		g.fitted = false
-		return fmt.Errorf("gp: fit: %w", err)
-	}
-	alpha, err := linalg.CholeskySolve(l, g.yNorm)
-	if err != nil {
-		g.fitted = false
-		return fmt.Errorf("gp: fit: %w", err)
-	}
-	g.gram, g.gramX, g.jitter, g.hyperSig = k, g.x, jit, sig
-	g.chol = l
-	g.alpha = alpha
 	g.fitted = true
 	return nil
 }
@@ -330,35 +277,6 @@ func (g *GP) gramFor(x [][]float64, sig []float64) *linalg.Matrix {
 			}
 			row[i] += g.noise
 		})
-	}
-	return k
-}
-
-// gramForLegacy is the PR-4 gram builder: a fresh matrix per call, serial
-// row evaluation, prefix reuse only.
-func (g *GP) gramForLegacy(x [][]float64, sig []float64) *linalg.Matrix {
-	n := len(x)
-	reuse := 0
-	if g.gram != nil && sameVec(g.hyperSig, sig) && g.gram.Rows <= n {
-		reuse = g.gram.Rows
-		for i := 0; i < reuse; i++ {
-			if !sameVec(g.gramX[i], x[i]) {
-				reuse = 0
-				break
-			}
-		}
-	}
-	k := linalg.NewMatrix(n, n)
-	for i := 0; i < reuse; i++ {
-		copy(k.Row(i)[:reuse], g.gram.Row(i))
-	}
-	for i := reuse; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := g.kernel.Eval(x[i], x[j])
-			k.Set(i, j, v)
-			k.Set(j, i, v)
-		}
-		k.Add(i, i, g.noise)
 	}
 	return k
 }
@@ -455,9 +373,6 @@ func rowsMatch(a, b [][]float64) bool {
 // The gram, factor, and d² matrices grow in place, so an Observe at history
 // n costs amortized O(1) allocations.
 func (g *GP) Observe(x []float64, y float64) error {
-	if g.legacy {
-		return g.observeLegacy(x, y)
-	}
 	if !g.fitted || g.gram == nil ||
 		!sameVec(g.hyperSig, append(g.kernel.Hyper(), g.noise)) {
 		return g.Fit(append(g.x, x), append(g.yRaw, y))
@@ -531,52 +446,6 @@ func (g *GP) Observe(x []float64, y float64) error {
 	return nil
 }
 
-// observeLegacy is the PR-4 Observe: fresh krow, grown gram matrix, and
-// bordered factor allocated on every call.
-func (g *GP) observeLegacy(x []float64, y float64) error {
-	if !g.fitted || g.gram == nil ||
-		!sameVec(g.hyperSig, append(g.kernel.Hyper(), g.noise)) {
-		return g.Fit(append(g.x, x), append(g.yRaw, y))
-	}
-	n := len(g.x)
-	krow := make([]float64, n)
-	for i, xi := range g.x {
-		krow[i] = g.kernel.Eval(xi, x)
-	}
-	knn := g.kernel.Eval(x, x) + g.noise
-	l, err := linalg.CholUpdateRow(g.chol, krow, knn+g.jitter)
-	if err != nil {
-		return g.Fit(append(g.x, x), append(g.yRaw, y))
-	}
-	grown := linalg.NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(grown.Row(i)[:n], g.gram.Row(i))
-		grown.Row(i)[n] = krow[i]
-	}
-	copy(grown.Row(n)[:n], krow)
-	grown.Row(n)[n] = knn
-	g.gram = grown
-	g.chol = l
-	g.x = append(g.x, x)
-	g.gramX = g.x
-	g.yRaw = append(g.yRaw, y)
-	g.yMean = stats.Mean(g.yRaw)
-	g.yScale = stats.StdDev(g.yRaw)
-	if g.yScale == 0 || math.IsNaN(g.yScale) {
-		g.yScale = 1
-	}
-	g.yNorm = make([]float64, len(g.yRaw))
-	for i, v := range g.yRaw {
-		g.yNorm[i] = (v - g.yMean) / g.yScale
-	}
-	alpha, err := linalg.CholeskySolve(g.chol, g.yNorm)
-	if err != nil {
-		return g.Fit(g.x, g.yRaw)
-	}
-	g.alpha = alpha
-	return nil
-}
-
 // Clone returns an independent deep copy of the model — kernel, caches,
 // and fitted state — so callers can fantasize observations (constant-liar
 // batching) with Observe without touching the original. Training input
@@ -587,7 +456,6 @@ func (g *GP) Clone() *GP {
 		kernel:  g.kernel.Clone(),
 		noise:   g.noise,
 		workers: g.workers,
-		legacy:  g.legacy,
 		yMean:   g.yMean,
 		yScale:  g.yScale,
 		jitter:  g.jitter,
@@ -629,37 +497,11 @@ func (g *GP) MinY() float64 {
 // Scratch comes from a pooled workspace, so a warm Predict performs zero
 // heap allocations; see PredictWS to manage the workspace explicitly.
 func (g *GP) Predict(x []float64) (mean, variance float64, err error) {
-	if g.legacy {
-		return g.predictLegacy(x)
-	}
 	// Deferred so a panicking kernel (dimension mismatch) cannot leak the
 	// workspace; an open-coded defer costs zero allocations.
 	ws := wsPool.Get().(*Workspace)
 	defer wsPool.Put(ws)
 	return g.PredictWS(ws, x)
-}
-
-// predictLegacy is the PR-4 Predict: kstar and the triangular-solve result
-// are allocated on every call.
-func (g *GP) predictLegacy(x []float64) (mean, variance float64, err error) {
-	if !g.fitted {
-		return 0, 0, ErrNotFitted
-	}
-	n := len(g.x)
-	kstar := make([]float64, n)
-	for i := 0; i < n; i++ {
-		kstar[i] = g.kernel.Eval(g.x[i], x)
-	}
-	muNorm := linalg.Dot(kstar, g.alpha)
-	v, err := linalg.SolveLower(g.chol, kstar)
-	if err != nil {
-		return 0, 0, fmt.Errorf("gp: predict: %w", err)
-	}
-	varNorm := g.kernel.Eval(x, x) - linalg.Dot(v, v)
-	if varNorm < 0 {
-		varNorm = 0
-	}
-	return muNorm*g.yScale + g.yMean, varNorm * g.yScale * g.yScale, nil
 }
 
 // PredictWS is Predict with a caller-owned workspace, for hot loops that
@@ -843,9 +685,6 @@ func (g *GP) LogMarginalLikelihood() (float64, error) {
 // Nelder-Mead step costs an in-place gram refill plus a factorization and
 // no fresh distance work or allocation.
 func (g *GP) FitHyper(x [][]float64, y []float64, restarts int, rng *rand.Rand) error {
-	if g.legacy {
-		return g.fitHyperLegacy(x, y, restarts, rng)
-	}
 	if err := g.Fit(x, y); err != nil {
 		return err
 	}
@@ -871,44 +710,6 @@ func (g *GP) FitHyper(x [][]float64, y []float64, restarts int, rng *rand.Rand) 
 		}
 		return -lml
 	}
-	return g.fitHyperSearch(x, y, base, obj, restarts, rng)
-}
-
-// fitHyperLegacy is the PR-4 FitHyper: a fresh trial GP (and with it fresh
-// gram/factor storage) for every objective evaluation.
-func (g *GP) fitHyperLegacy(x [][]float64, y []float64, restarts int, rng *rand.Rand) error {
-	if err := g.Fit(x, y); err != nil {
-		return err
-	}
-	base := append(g.kernel.Hyper(), math.Log(g.noise))
-	obj := func(lp []float64) float64 {
-		for _, v := range lp {
-			if v < -12 || v > 8 {
-				return math.Inf(1)
-			}
-		}
-		k := g.kernel.Clone()
-		k.SetHyper(lp[:len(lp)-1])
-		trial := &GP{kernel: k, noise: math.Exp(lp[len(lp)-1]), legacy: true}
-		if trial.noise < 1e-10 {
-			trial.noise = 1e-10
-		}
-		if err := trial.Fit(x, y); err != nil {
-			return math.Inf(1)
-		}
-		lml, err := trial.LogMarginalLikelihood()
-		if err != nil || math.IsNaN(lml) {
-			return math.Inf(1)
-		}
-		return -lml
-	}
-	return g.fitHyperSearch(x, y, base, obj, restarts, rng)
-}
-
-// fitHyperSearch runs the restarted Nelder-Mead search shared by both
-// FitHyper arms, installs the best hyperparameters, and refits.
-func (g *GP) fitHyperSearch(x [][]float64, y []float64, base []float64,
-	obj func([]float64) float64, restarts int, rng *rand.Rand) error {
 	bestLP := append([]float64(nil), base...)
 	bestVal := obj(base)
 	starts := [][]float64{base}

@@ -97,71 +97,6 @@ func TestParallelGramMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLegacyAllocMatchesWorkspacePaths differentially tests the reused-
-// buffer Fit/Observe/Predict pipeline against the PR-4 allocating one over
-// a grow-predict workload: identical inputs must give bitwise-identical
-// predictions at every step.
-func TestLegacyAllocMatchesWorkspacePaths(t *testing.T) {
-	xs, ys := perfTrainingData(45, 7, 11)
-	probe, _ := perfTrainingData(10, 7, 12)
-	for name, k := range perfKernels() {
-		legacy := New(k.Clone(), 1e-6)
-		legacy.SetLegacyAlloc(true)
-		fast := New(k.Clone(), 1e-6)
-		fast.SetWorkers(3)
-		if err := legacy.Fit(xs[:20], ys[:20]); err != nil {
-			t.Fatalf("%s legacy fit: %v", name, err)
-		}
-		if err := fast.Fit(xs[:20], ys[:20]); err != nil {
-			t.Fatalf("%s fast fit: %v", name, err)
-		}
-		for i := 20; i < len(xs); i++ {
-			if err := legacy.Observe(xs[i], ys[i]); err != nil {
-				t.Fatalf("%s legacy observe %d: %v", name, i, err)
-			}
-			if err := fast.Observe(xs[i], ys[i]); err != nil {
-				t.Fatalf("%s fast observe %d: %v", name, i, err)
-			}
-			for _, p := range probe {
-				m1, v1, err1 := legacy.Predict(p)
-				m2, v2, err2 := fast.Predict(p)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s predict: %v %v", name, err1, err2)
-				}
-				if m1 != m2 || v1 != v2 {
-					t.Fatalf("%s step %d: legacy (%v,%v) vs fast (%v,%v)",
-						name, i, m1, v1, m2, v2)
-				}
-			}
-		}
-	}
-}
-
-// TestFitHyperReusedTrialMatchesLegacy checks that sharing one trial model
-// across all Nelder-Mead evaluations lands on the same hyperparameters as
-// the allocating fresh-model-per-candidate search.
-func TestFitHyperReusedTrialMatchesLegacy(t *testing.T) {
-	xs, ys := perfTrainingData(30, 5, 21)
-	legacy := New(Scale(1, NewMatern(2.5, 0.2)), 1e-6)
-	legacy.SetLegacyAlloc(true)
-	fast := New(Scale(1, NewMatern(2.5, 0.2)), 1e-6)
-	if err := legacy.FitHyper(xs, ys, 2, rand.New(rand.NewSource(5))); err != nil {
-		t.Fatalf("legacy fithyper: %v", err)
-	}
-	if err := fast.FitHyper(xs, ys, 2, rand.New(rand.NewSource(5))); err != nil {
-		t.Fatalf("fast fithyper: %v", err)
-	}
-	lh, fh := legacy.Kernel().Hyper(), fast.Kernel().Hyper()
-	for i := range lh {
-		if lh[i] != fh[i] {
-			t.Fatalf("hyper %d: legacy %v vs fast %v", i, lh, fh)
-		}
-	}
-	if legacy.Noise() != fast.Noise() {
-		t.Fatalf("noise: legacy %v vs fast %v", legacy.Noise(), fast.Noise())
-	}
-}
-
 // TestPredictNMatchesPredict checks the batched path against per-point
 // Predict, serial and parallel.
 func TestPredictNMatchesPredict(t *testing.T) {

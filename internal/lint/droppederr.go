@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 )
 
 // stdlibErrFuncs are standard-library call names whose error result must
@@ -28,7 +29,9 @@ var stdlibErrFuncs = map[string]bool{
 // go without a named-result wrapper, and requiring one everywhere is
 // noise. Matching is by callee name against the module-wide index of
 // error-returning declarations (plus a short stdlib list for the `_ =`
-// form), since the linter runs without type information.
+// form), since the linter runs without type information. Calls to Go
+// builtins (close, delete, copy, ...) are never findings, whatever module
+// methods share their names.
 var DroppedErr = &Analyzer{
 	Name: "droppederr",
 	Doc:  "forbid unhandled error returns (bare calls and _ = discards) outside tests",
@@ -44,7 +47,7 @@ var DroppedErr = &Analyzer{
 				if !ok {
 					return true
 				}
-				name := callName(call)
+				name := callName(f, call)
 				// Bare statements only flag unambiguous names: if any
 				// module declaration of the same name returns no error
 				// (e.g. the void Bandit.Update vs Hybrid.Update), the
@@ -63,7 +66,7 @@ var DroppedErr = &Analyzer{
 				if !ok {
 					return true
 				}
-				name := callName(call)
+				name := callName(f, call)
 				if name == "" || (!f.Mod.ErrFuncs[name] && !stdlibErrFuncs[name]) {
 					return true
 				}
@@ -78,15 +81,43 @@ var DroppedErr = &Analyzer{
 }
 
 // callName extracts the bare callee name from a call: the identifier for
-// plain calls, the selector's field for qualified and method calls.
-func callName(call *ast.CallExpr) string {
+// plain calls, the selector's field for qualified and method calls. A
+// plain call to a Go builtin yields "": a module method named close makes
+// "close" an error-returning name module-wide, but close(ch) resolves to
+// the builtin unless the file's own package declares a function of that
+// name.
+func callName(f *File, call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
+		if _, builtin := types.Universe.Lookup(fun.Name).(*types.Builtin); builtin && !f.pkgDeclaresFunc(fun.Name) {
+			return ""
+		}
 		return fun.Name
 	case *ast.SelectorExpr:
 		return fun.Sel.Name
 	}
 	return ""
+}
+
+// pkgDeclaresFunc reports whether any non-test file of f's package
+// declares a package-level function called name.
+func (f *File) pkgDeclaresFunc(name string) bool {
+	for _, pkg := range f.Mod.Packages {
+		if pkg.Path != f.PkgPath {
+			continue
+		}
+		for _, pf := range pkg.Files {
+			if pf.IsTest {
+				continue
+			}
+			for _, decl := range pf.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func allBlank(exprs []ast.Expr) bool {

@@ -39,3 +39,16 @@ func cleanCapture() error {
 	err := saveState("z.json")
 	return err
 }
+
+// conn's close and copy methods put both names in the module-wide error
+// index; calls to the builtins spelled the same must not become findings.
+type conn struct{}
+
+func (c *conn) close() error { return nil }
+
+func (c *conn) copy() error { return nil }
+
+func cleanBuiltins(ch chan int, dst, src []int) {
+	_ = copy(dst, src)
+	close(ch)
+}

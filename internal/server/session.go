@@ -143,8 +143,8 @@ func recoverSession(study string, recs []studystore.Record) *session {
 			}
 			continue
 		}
-		var tr trial.TrialRecord
-		if err := json.Unmarshal(r.Payload, &tr); err != nil {
+		tr, err := trial.DecodeRecord(r.Payload)
+		if err != nil {
 			return orphanSession(study, fmt.Sprintf("record %d undecodable: %v", r.ID, err), hist)
 		}
 		tr.ID = int(r.ID) // the store key is authoritative
@@ -294,9 +294,9 @@ func (ss *session) observe(ctx context.Context, obs []Observation) (acked, dups 
 			CostSeconds: o.CostSeconds,
 			Metrics:     o.Metrics,
 		}
-		payload, err := json.Marshal(tr)
+		payload, err := trial.EncodeRecord(tr)
 		if err != nil {
-			return 0, 0, fmt.Errorf("trial %d: %w", o.Trial, err)
+			return 0, 0, err
 		}
 		fresh = append(fresh, pending{tr: tr, cfg: cfg})
 		recs = append(recs, studystore.Record{Study: ss.study, ID: o.Trial, Payload: payload})

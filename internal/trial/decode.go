@@ -1,8 +1,35 @@
 package trial
 
 import (
+	"encoding/json"
+	"fmt"
 	"strconv"
 )
+
+// EncodeRecord returns rec's durable bytes: the JSON payload every
+// write-ahead path (StudyJournal, the tuning daemon) frames into the study
+// store. It is exactly json.Marshal(rec) — logs written before this
+// function existed decode unchanged and bytes per record do not move.
+func EncodeRecord(rec TrialRecord) ([]byte, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("trial: encode record %d: %w", rec.ID, err)
+	}
+	return data, nil
+}
+
+// DecodeRecord parses bytes written by EncodeRecord: the specialized
+// parser first, encoding/json for any shape it declines, so results and
+// error text are encoding/json's.
+func DecodeRecord(data []byte) (TrialRecord, error) {
+	var rec TrialRecord
+	if decodeTrialRecord(data, &rec) {
+		return rec, nil
+	}
+	rec = TrialRecord{} // a declined parse may have filled some fields
+	err := json.Unmarshal(data, &rec)
+	return rec, err
+}
 
 // decodeTrialRecord is the replay hot path: a specialized parser for the
 // exact JSON shape json.Marshal(TrialRecord) produces, avoiding

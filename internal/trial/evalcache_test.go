@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -95,12 +94,12 @@ func TestDedupEvalsSingleFlightInBatch(t *testing.T) {
 // at most one real measurement — replay and cache agree on trial counts,
 // and nothing is double-journaled.
 func TestDedupEvalsKillMidBatchJournalAgrees(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "trials.wal")
+	wal := t.TempDir()
 	opts := Options{
 		Budget:     24,
 		Parallel:   4,
 		Scheduler:  &sched.Options{},
-		Journal:    wal,
+		Store:      wal,
 		DedupEvals: true,
 	}
 	env := newDiscreteEnv("a", "bb", "ccc", "dddd", "eeeee", "ffffff")
@@ -119,7 +118,7 @@ func TestDedupEvalsKillMidBatchJournalAgrees(t *testing.T) {
 	if len(rep1.Trials) == 0 || len(rep1.Trials) >= opts.Budget {
 		t.Fatalf("pre-kill trials = %d, want a partial run", len(rep1.Trials))
 	}
-	recs, err := ReadJournal(wal)
+	recs, err := ReadStudyJournal(wal, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestDedupEvalsKillMidBatchJournalAgrees(t *testing.T) {
 	if len(rep2.Trials) != opts.Budget {
 		t.Fatalf("final trials = %d, want %d", len(rep2.Trials), opts.Budget)
 	}
-	final, err := ReadJournal(wal)
+	final, err := ReadStudyJournal(wal, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -100,12 +98,12 @@ func TestSchedHedgedRunDeterministic(t *testing.T) {
 }
 
 func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "trials.wal")
+	wal := t.TempDir()
 	opts := Options{
 		Budget:    20,
 		Parallel:  4,
 		Scheduler: &sched.Options{},
-		Journal:   wal,
+		Store:     wal,
 	}
 
 	// Kill the run in the middle of the second batch: trial 7 cancels the
@@ -130,7 +128,7 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 	}
 
 	// The WAL holds exactly the absorbed set: nothing lost, nothing extra.
-	recs, err := ReadJournal(wal)
+	recs, err := ReadStudyJournal(wal, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,70 +181,12 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 		}
 	}
 	// The resumed session appended its new trials to the same WAL.
-	recs2, err := ReadJournal(wal)
+	recs2, err := ReadStudyJournal(wal, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs2) != 20 {
 		t.Fatalf("journal after resume has %d records, want 20", len(recs2))
-	}
-}
-
-func TestJournalRoundTripDedupAndTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []TrialRecord{
-		{ID: 2, Config: space.Config{"x": 0.2}, Value: 2},
-		{ID: 0, Config: space.Config{"x": 0.0}, Value: 0},
-		{ID: 1, Config: space.Config{"x": 0.1}, Value: 1},
-		{ID: 1, Config: space.Config{"x": 0.9}, Value: 99}, // duplicate: first wins
-	} {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a torn final line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"id":9,"value":4.`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %d, want 3 (deduped, torn tail dropped)", len(recs))
-	}
-	for i, r := range recs {
-		if r.ID != i {
-			t.Fatalf("record %d has ID %d, want sorted IDs", i, r.ID)
-		}
-	}
-	if recs[1].Value != 1 {
-		t.Fatalf("duplicate ID 1 resolved to value %v, want first occurrence 1", recs[1].Value)
-	}
-}
-
-func TestJournalMissingFileIsEmpty(t *testing.T) {
-	recs, err := ReadJournal(filepath.Join(t.TempDir(), "absent.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs != nil {
-		t.Fatalf("records = %v, want none", recs)
 	}
 }
 
@@ -309,14 +249,14 @@ func TestRunPanicIsolatedAtTrialBoundary(t *testing.T) {
 func TestSoakSchedulerTrialLoop(t *testing.T) {
 	env := newCountingEnv()
 	env.failEvery = 5
-	wal := filepath.Join(t.TempDir(), "soak.wal")
+	wal := t.TempDir()
 	hosts := []cloud.HostProfile{{Mult: 1}, {Mult: 1}, {Mult: 4, Outlier: true}, {Mult: 1}}
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(11)))
 	const budget, parallel = 160, 8
 	rep, err := Run(o, env, Options{
 		Budget:    budget,
 		Parallel:  parallel,
-		Journal:   wal,
+		Store:     wal,
 		Scheduler: &sched.Options{Hosts: hosts, HedgeQuantile: 0.7, HedgeMinSamples: 4},
 	})
 	if err != nil {
@@ -350,7 +290,7 @@ func TestSoakSchedulerTrialLoop(t *testing.T) {
 			t.Fatalf("trial ID %d absorbed at position %d, outside its batch", tr.ID, i)
 		}
 	}
-	recs, err := ReadJournal(wal)
+	recs, err := ReadStudyJournal(wal, "")
 	if err != nil {
 		t.Fatal(err)
 	}

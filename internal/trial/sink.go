@@ -1,13 +1,28 @@
 package trial
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"autotune/internal/studystore"
 )
+
+// ErrJournalCorrupt marks a journal with a damaged interior record: a
+// record that passed the store's CRC check yet failed to parse, which a
+// crash mid-append cannot produce (only the tail can tear). The journal's
+// prefix semantics are broken and the damage must be inspected, not
+// skipped.
+var ErrJournalCorrupt = errors.New("trial: corrupt interior journal record")
+
+// JournalSink receives every completed trial before the optimizer
+// observes it — the write-ahead contract. Implementations must make the
+// record durable before returning nil. StudyJournal is the one shipped
+// implementation; tests may substitute their own.
+type JournalSink interface {
+	Append(rec TrialRecord) error
+	Close() error
+}
 
 // StudyJournal adapts one study inside a crash-safe segmented study
 // store (internal/studystore) to the JournalSink contract: every Append
@@ -36,9 +51,9 @@ func OpenStudyJournal(dir, study string) (*StudyJournal, error) {
 
 // Append implements JournalSink: the record is durable when it returns.
 func (sj *StudyJournal) Append(rec TrialRecord) error {
-	data, err := json.Marshal(rec)
+	data, err := EncodeRecord(rec)
 	if err != nil {
-		return fmt.Errorf("trial: marshal store record %d: %w", rec.ID, err)
+		return err
 	}
 	return sj.store.Append(studystore.Record{Study: sj.study, ID: int64(rec.ID), Payload: data})
 }
@@ -51,117 +66,30 @@ func (sj *StudyJournal) Store() *studystore.Store { return sj.store }
 
 // ReadStudyJournal loads one study's records from the store at dir,
 // sorted by trial ID with duplicates dropped. A missing directory is an
-// empty journal, not an error.
+// empty journal, not an error. Payloads already passed CRC validation,
+// so a parse failure is real corruption, not a torn write — it surfaces
+// as ErrJournalCorrupt.
 func ReadStudyJournal(dir, study string) ([]TrialRecord, error) {
 	if study == "" {
 		study = "default"
 	}
-	st, err := openStoreRead(dir)
-	if st == nil || err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return decodeStoreRecords(dir, st.Records(study))
-}
-
-// readStoreDir loads every study's records from the store at dir, merged
-// and deduplicated by trial ID (first occurrence wins, studies visited
-// in sorted order) — the directory arm of ReadJournal.
-func readStoreDir(dir string) ([]TrialRecord, error) {
-	st, err := openStoreRead(dir)
-	if st == nil || err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	var out []TrialRecord
-	seen := map[int]bool{}
-	for _, study := range st.Studies() {
-		recs, err := decodeStoreRecords(dir, st.Records(study))
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
-			if seen[rec.ID] {
-				continue
-			}
-			seen[rec.ID] = true
-			out = append(out, rec)
-		}
-	}
-	sortRecordsByID(out)
-	return out, nil
-}
-
-// openStoreRead opens the store read-only; a missing directory yields
-// (nil, nil).
-func openStoreRead(dir string) (*studystore.Store, error) {
 	if _, err := os.Stat(dir); os.IsNotExist(err) {
 		return nil, nil
 	}
-	return studystore.Open(dir, studystore.Options{ReadOnly: true})
-}
-
-// decodeStoreRecords unmarshals store payloads back into TrialRecords.
-// Payloads already passed CRC validation, so a parse failure here is
-// real corruption, not a torn write — it surfaces as ErrJournalCorrupt.
-func decodeStoreRecords(dir string, recs []studystore.Record) ([]TrialRecord, error) {
+	st, err := studystore.Open(dir, studystore.Options{ReadOnly: true})
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	recs := st.Records(study)
 	out := make([]TrialRecord, 0, len(recs))
 	for _, r := range recs {
-		var rec TrialRecord
-		if !decodeTrialRecord(r.Payload, &rec) {
-			rec = TrialRecord{}
-			if err := json.Unmarshal(r.Payload, &rec); err != nil {
-				return nil, fmt.Errorf("%w: store %s study %q record %d: %v",
-					ErrJournalCorrupt, dir, r.Study, r.ID, err)
-			}
+		rec, err := DecodeRecord(r.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: store %s study %q record %d: %v",
+				ErrJournalCorrupt, dir, r.Study, r.ID, err)
 		}
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-func sortRecordsByID(recs []TrialRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].ID < recs[j-1].ID; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
-}
-
-// MigrateJournal moves a v0 single-file journal into the segmented study
-// store at dir under the named study, then removes the v0 file (the
-// removal is made durable with a directory fsync). Records already in
-// the store keep precedence — re-running a partially completed migration
-// is safe. A missing v0 file is a no-op. Returns the number of records
-// read from the v0 journal.
-func MigrateJournal(v0path, dir, study string) (int, error) {
-	recs, err := ReadJournal(v0path)
-	if err != nil {
-		return 0, fmt.Errorf("trial: migrate %s: %w", v0path, err)
-	}
-	if recs == nil {
-		return 0, nil
-	}
-	sj, err := OpenStudyJournal(dir, study)
-	if err != nil {
-		return 0, fmt.Errorf("trial: migrate %s: %w", v0path, err)
-	}
-	for _, rec := range recs {
-		if err := sj.Append(rec); err != nil {
-			//autolint:ignore droppederr already failing; the close error is secondary
-			sj.Close()
-			return 0, fmt.Errorf("trial: migrate %s: %w", v0path, err)
-		}
-	}
-	if err := sj.Close(); err != nil {
-		return 0, fmt.Errorf("trial: migrate %s: %w", v0path, err)
-	}
-	// Every record is durable in the store; only now may the v0 file go.
-	if err := os.Remove(v0path); err != nil {
-		return 0, fmt.Errorf("trial: migrate %s: %w", v0path, err)
-	}
-	if err := syncDir(filepath.Dir(v0path)); err != nil {
-		return 0, err
-	}
-	return len(recs), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,73 +11,8 @@ import (
 
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
+	"autotune/internal/studystore"
 )
-
-// TestReadJournalInteriorCorruptionErrors pins the WAL prefix contract:
-// a damaged record *followed by more records* is disk corruption and must
-// surface as an error, while the same damage on the final line is a torn
-// tail and is skipped.
-func TestReadJournalInteriorCorruptionErrors(t *testing.T) {
-	good := func(id int) string {
-		return fmt.Sprintf(`{"id":%d,"config":{"x":0.5},"value":%d}`, id, id) + "\n"
-	}
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	if err := os.WriteFile(path, []byte(good(0)+`{"id":1,"value":0.`+"\n"+good(2)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadJournal(path); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("interior corruption read = %v, want ErrJournalCorrupt", err)
-	}
-
-	// The same damaged line at the tail is the crash-mid-append artifact:
-	// skipped, no error.
-	if err := os.WriteFile(path, []byte(good(0)+good(2)+`{"id":1,"value":0.`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadJournal(path)
-	if err != nil {
-		t.Fatalf("torn tail read = %v, want nil", err)
-	}
-	if len(recs) != 2 || recs[0].ID != 0 || recs[1].ID != 2 {
-		t.Fatalf("torn tail records = %v, want IDs [0 2]", recs)
-	}
-}
-
-// TestJournalPoisonedAfterFailure: once an Append fails, the journal must
-// fail every subsequent Append fast — writing past a hole would break the
-// prefix guarantee.
-func TestJournalPoisonedAfterFailure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(TrialRecord{ID: 0}); err != nil {
-		t.Fatal(err)
-	}
-	// Force the next write to fail by closing the descriptor underneath.
-	if err := j.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(TrialRecord{ID: 1}); err == nil {
-		t.Fatal("append on a closed file should fail")
-	} else if errors.Is(err, ErrJournalPoisoned) {
-		t.Fatalf("first failure reported as poisoned: %v", err)
-	}
-	if err := j.Append(TrialRecord{ID: 2}); !errors.Is(err, ErrJournalPoisoned) {
-		t.Fatalf("append after failure = %v, want ErrJournalPoisoned", err)
-	}
-	j.f = nil // already closed
-
-	// The durable prefix is intact: reopening reads the acknowledged record.
-	recs, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].ID != 0 {
-		t.Fatalf("journal holds %v, want the one acknowledged record", recs)
-	}
-}
 
 func TestRunWithStoreThenResume(t *testing.T) {
 	env := newCountingEnv()
@@ -153,84 +87,27 @@ func TestRunStoreKillMidRunResumesExactly(t *testing.T) {
 	}
 }
 
-// TestReadJournalOnStoreDirectory: the v0 reader transparently reads a
-// segmented store directory, merging every study.
-func TestReadJournalOnStoreDirectory(t *testing.T) {
+// TestReadStudyJournalUndecodablePayloadErrors: a payload that passed the
+// store's CRC check yet does not parse is real corruption, not a torn
+// write, and must surface as ErrJournalCorrupt rather than be skipped.
+func TestReadStudyJournalUndecodablePayloadErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "studies")
 	sj, err := OpenStudyJournal(dir, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < 3; id++ {
-		if err := sj.Append(TrialRecord{ID: id, Config: space.Config{"x": 0.1}, Value: float64(id)}); err != nil {
-			t.Fatal(err)
-		}
+	if err := sj.Append(TrialRecord{ID: 0, Config: space.Config{"x": 0.1}, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	bad := studystore.Record{Study: "a", ID: 1, Payload: []byte(`{"id":1,"value":0.`)}
+	if err := sj.Store().Append(bad); err != nil {
+		t.Fatal(err)
 	}
 	if err := sj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sj2, err := OpenStudyJournal(dir, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sj2.Append(TrialRecord{ID: 7, Value: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sj2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := ReadJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 || recs[0].ID != 0 || recs[3].ID != 7 {
-		t.Fatalf("merged store read = %v, want IDs [0 1 2 7]", recs)
-	}
-	if recs[1].Value != 1 {
-		t.Fatalf("record 1 value = %v, want payload round-trip", recs[1].Value)
-	}
-}
-
-func TestMigrateJournal(t *testing.T) {
-	tmp := t.TempDir()
-	v0 := filepath.Join(tmp, "wal.jsonl")
-	j, err := OpenJournal(v0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 5; id++ {
-		if err := j.Append(TrialRecord{ID: id, Config: space.Config{"x": 0.2}, Value: float64(id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := filepath.Join(tmp, "studies")
-	n, err := MigrateJournal(v0, dir, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("migrated %d records, want 5", n)
-	}
-	if _, err := os.Stat(v0); !os.IsNotExist(err) {
-		t.Fatalf("v0 journal still present after migration: %v", err)
-	}
-	recs, err := ReadStudyJournal(dir, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 || recs[4].Value != 4 {
-		t.Fatalf("store holds %v, want the 5 migrated records", recs)
-	}
-
-	// Re-running on the now-missing file is a no-op, not an error.
-	n, err = MigrateJournal(v0, dir, "legacy")
-	if err != nil || n != 0 {
-		t.Fatalf("second migration = (%d, %v), want (0, nil)", n, err)
+	if _, err := ReadStudyJournal(dir, "a"); !errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("undecodable payload read = %v, want ErrJournalCorrupt", err)
 	}
 }
 
@@ -243,13 +120,13 @@ func (c *collectSink) Append(rec TrialRecord) error {
 }
 func (c *collectSink) Close() error { return nil }
 
-// TestOptionsSinkOverridesJournal: an explicit Sink wins over both the
-// Journal path and the Store directory.
-func TestOptionsSinkOverridesJournal(t *testing.T) {
+// TestOptionsSinkOverridesStore: an explicit Sink wins over the Store
+// directory.
+func TestOptionsSinkOverridesStore(t *testing.T) {
 	env := newCountingEnv()
 	sink := &collectSink{}
-	jpath := filepath.Join(t.TempDir(), "unused.jsonl")
-	opts := Options{Budget: 6, Sink: sink, Journal: jpath}
+	dir := filepath.Join(t.TempDir(), "unused-store")
+	opts := Options{Budget: 6, Sink: sink, Store: dir}
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))
 	if _, err := Run(o, env, opts); err != nil {
 		t.Fatal(err)
@@ -257,8 +134,8 @@ func TestOptionsSinkOverridesJournal(t *testing.T) {
 	if len(sink.recs) != 6 {
 		t.Fatalf("sink received %d records, want 6", len(sink.recs))
 	}
-	if _, err := os.Stat(jpath); !os.IsNotExist(err) {
-		t.Fatalf("journal file created despite Sink override: %v", err)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("store directory created despite Sink override: %v", err)
 	}
 }
 

@@ -244,23 +244,18 @@ type Options struct {
 	// quantile of recent trial durations. Ignored when Scheduler already
 	// sets its own quantile.
 	HedgeQuantile float64
-	// Journal, when non-empty, appends every completed trial as one
-	// fsync'd JSON line to this write-ahead log *before* the optimizer
-	// observes it. A run killed mid-batch resumes from the journal with
-	// every finished trial intact; see Resume.
-	Journal string
 	// Store, when non-empty, journals every completed trial into the
-	// crash-safe segmented study store at this directory instead of a v0
-	// single-file journal (internal/studystore: CRC-framed records,
-	// fsync barriers, snapshot compaction, quarantined corruption).
-	// Takes precedence over Journal when both are set.
+	// crash-safe segmented study store at this directory *before* the
+	// optimizer observes it (internal/studystore: CRC-framed records,
+	// fsync barriers, snapshot compaction, quarantined corruption). A run
+	// killed mid-batch resumes from the store with every finished trial
+	// intact; see Resume.
 	Store string
 	// Study names the study within Store that this run's trials belong
 	// to; empty means "default". Ignored unless Store is set.
 	Study string
-	// Sink, when non-nil, overrides Journal and Store with a custom
-	// write-ahead sink. The caller owns its lifecycle — the run does not
-	// Close it.
+	// Sink, when non-nil, overrides Store with a custom write-ahead sink.
+	// The caller owns its lifecycle — the run does not Close it.
 	Sink JournalSink
 	// DedupEvals enables the single-flight evaluation cache: when the
 	// optimizer re-suggests a (config, fidelity) pair that already
@@ -388,16 +383,15 @@ func RunContext(ctx context.Context, o optimizer.Optimizer, env Environment, opt
 }
 
 // Resume continues a tuning session from the checkpoint at
-// opts.Checkpoint and/or the write-ahead journal at opts.Journal (or the
-// segmented study store at opts.Store): the
-// recorded trials are replayed into the optimizer (Observe only — the
-// environment is not re-run), counters and the incumbent are restored,
-// and the loop continues until the budget is reached. The journal is the
-// finer-grained source: it holds trials from a batch that was killed
-// before its checkpoint was written, so a mid-batch kill loses zero
-// finished trials and re-runs none of them. A history that already
-// covers the budget returns immediately without touching the
-// environment.
+// opts.Checkpoint and/or the write-ahead journal in the segmented study
+// store at opts.Store: the recorded trials are replayed into the
+// optimizer (Observe only — the environment is not re-run), counters
+// and the incumbent are restored, and the loop continues until the
+// budget is reached. The journal is the finer-grained source: it holds
+// trials from a batch that was killed before its checkpoint was written,
+// so a mid-batch kill loses zero finished trials and re-runs none of
+// them. A history that already covers the budget returns immediately
+// without touching the environment.
 func Resume(o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
 	//autolint:ignore ctxpass public context-free convenience wrapper over ResumeContext
 	return ResumeContext(context.Background(), o, env, opts)
@@ -409,8 +403,8 @@ func ResumeContext(ctx context.Context, o optimizer.Optimizer, env Environment, 
 	if err != nil {
 		return Report{}, err
 	}
-	if opts.Checkpoint == "" && opts.Journal == "" && opts.Store == "" {
-		return Report{}, errors.New("trial: resume needs Options.Checkpoint, Options.Journal, or Options.Store")
+	if opts.Checkpoint == "" && opts.Store == "" {
+		return Report{}, errors.New("trial: resume needs Options.Checkpoint or Options.Store")
 	}
 	var rep Report
 	if opts.Checkpoint != "" {
@@ -418,13 +412,6 @@ func ResumeContext(ctx context.Context, o optimizer.Optimizer, env Environment, 
 		if err != nil {
 			return Report{}, fmt.Errorf("trial: resume: %w", err)
 		}
-	}
-	if opts.Journal != "" {
-		recs, err := ReadJournal(opts.Journal)
-		if err != nil {
-			return Report{}, fmt.Errorf("trial: resume: %w", err)
-		}
-		mergeJournal(&rep, recs)
 	}
 	if opts.Store != "" {
 		recs, err := ReadStudyJournal(opts.Store, opts.Study)
@@ -461,7 +448,7 @@ func ResumeContext(ctx context.Context, o optimizer.Optimizer, env Environment, 
 }
 
 // mergeJournal folds journal records the checkpoint does not cover into
-// the report. Records are already ID-deduplicated by ReadJournal;
+// the report. Records are already ID-deduplicated by the store;
 // duplicates against the checkpoint are dropped here, so the merged
 // trial set contains each completed trial exactly once.
 func mergeJournal(rep *Report, recs []TrialRecord) {
@@ -710,13 +697,6 @@ func runLoop(ctx context.Context, o optimizer.Optimizer, env Environment, opts O
 		}
 		defer sj.Close()
 		s.journal = sj
-	case opts.Journal != "":
-		j, err := OpenJournal(opts.Journal)
-		if err != nil {
-			return rep, err
-		}
-		defer j.Close()
-		s.journal = j
 	}
 	var pool *sched.Pool
 	if opts.Scheduler != nil {
@@ -911,6 +891,22 @@ func (r Report) Save(path string) error {
 	// failure can roll the directory back to the old entry — or, for a
 	// first write, to no entry at all.
 	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a rename or create inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("trial: open dir %s: %w", dir, err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trial: sync dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 // LoadReport reads a report written by Save.
