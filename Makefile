@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help check vet build test race race-core bench e2e-bench loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history serve loadtest serve-contract
+.PHONY: help check vet build test race race-core bench e2e-bench e2e-pairs loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history serve loadtest serve-contract
 
 help:
 	@echo "Targets:"
@@ -9,6 +9,7 @@ help:
 	@echo "  race                go test -race ./..."
 	@echo "  bench               quick experiment suite + perf gates (BENCH_4, 6..9.json; BENCH_5.json is a frozen record)"
 	@echo "  e2e-bench           quick pass of the repo benchmark (BENCHMARK.json: daemon subprocess, four workloads)"
+	@echo "  e2e-pairs           BASE=<rev> WORKLOAD=<name> [N=10]: alternate parent/change runs of the repo benchmark, then -compare"
 	@echo "  loc                 non-test Go line count outside benchmark/ and lint fixtures (ROADMAP item 2 gate)"
 	@echo "  deep-history        surrogate tier determinism tests + quick scaling gate (rides in check)"
 	@echo "  serve               run the tuning daemon locally (store: ./.autotuned; SIGTERM drains)"
@@ -127,6 +128,25 @@ bench:
 # every end-to-end figure comes from here, not from cmd/bench.
 e2e-bench:
 	$(GO) run ./benchmark -quick
+
+# Parent-versus-change pairs of one workload, the way benchmark/README.md
+# asks for them: BASE is exported (git archive, so nothing is registered in
+# .git) under .bench_build/, the two sides alternate run by run — odd pairs
+# run the parent first, even pairs the change — on one fresh seed per pair,
+# so a slow episode of the box lands on both. Leaves pairs-base.jsonl and
+# pairs-change.jsonl under .bench_build/ and prints their -compare table.
+N ?= 10
+e2e-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make e2e-pairs BASE=<rev> WORKLOAD=<name> [N=10]"; exit 2; }
+	rm -rf .bench_build/base .bench_build/pairs-base.jsonl .bench_build/pairs-change.jsonl
+	mkdir -p .bench_build/base
+	git archive $(BASE) | tar -x -C .bench_build/base
+	@run() { (cd $$1 && $(GO) run ./benchmark -workload $(WORKLOAD) -seed $$3 -out $(CURDIR)/.bench_build/pairs-$$2.jsonl); }; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run .bench_build/base base $$i && run . change $$i; \
+		else run . change $$i && run .bench_build/base base $$i; fi || exit 1; \
+	done
+	$(GO) run ./benchmark -compare .bench_build/pairs-base.jsonl .bench_build/pairs-change.jsonl
 
 # ROADMAP item 2's size gate in one command: non-test Go lines outside the
 # benchmark harness and the lint fixtures.

@@ -116,9 +116,9 @@ func (b *BO) ensureSampler() *space.EncodedSampler {
 // syncSeen brings the encoded dedup set up to date with history. Keys are
 // encoded vectors, so only genuinely new observations pay an insert.
 func (b *BO) syncSeen() {
-	hist := b.History()
+	enc := b.encoded()
 	if b.seenEnc == nil {
-		b.seenEnc = make(map[string]bool, len(hist)+16)
+		b.seenEnc = make(map[string]bool, len(enc)+16)
 	}
 	es := b.ensureSampler()
 	if cap(b.encBuf) < es.Dim() {
@@ -129,11 +129,10 @@ func (b *BO) syncSeen() {
 		b.keyBuf = make([]byte, 8*es.Dim())
 	}
 	b.keyBuf = b.keyBuf[:8*es.Dim()]
-	for _, obs := range hist[b.seenN:] {
-		b.encodeInto(obs.Config, b.encBuf)
-		b.seenEnc[string(encKey(b.encBuf, b.keyBuf))] = true
+	for _, row := range enc[b.seenN:] {
+		b.seenEnc[string(encKey(row, b.keyBuf))] = true
 	}
-	b.seenN = len(hist)
+	b.seenN = len(enc)
 }
 
 // encodeInto encodes cfg into buf under the optimizer's encoding.

@@ -158,6 +158,9 @@ type SurrogateStats struct {
 	// HyperRefits is the subset of full refits that also re-optimized
 	// kernel hyperparameters.
 	HyperRefits int
+	// HyperEvals is the number of log-marginal-likelihood evaluations (one
+	// O(n³) factorization each) those hyperparameter refits spent.
+	HyperEvals int
 	// Tier is the currently active surrogate tier ("dense", "sparse",
 	// "local", or "forest"); empty before the first model build.
 	Tier string
@@ -203,6 +206,11 @@ type BO struct {
 	absorbed    int
 	haveInvalid bool
 	stats       SurrogateStats
+
+	// encHist[i] is history entry i encoded once (see encoded) and never
+	// rewritten: refits, pending absorption and the dedup set read the same
+	// rows, so the GP's pointer-identity prefix checks hit.
+	encHist [][]float64
 
 	// Flat-buffer acquisition search state (acqfast.go). sampler draws
 	// candidates straight into reused scalar/encoding vectors; seenEnc
@@ -302,6 +310,15 @@ func (b *BO) encode(cfg space.Config) []float64 {
 	return b.space.Encode(cfg)
 }
 
+// encoded returns the encoded row of every history entry, encoding only
+// those observed since the last call.
+func (b *BO) encoded() [][]float64 {
+	for _, obs := range b.History()[len(b.encHist):] {
+		b.encHist = append(b.encHist, b.encode(obs.Config))
+	}
+	return b.encHist
+}
+
 // Observe implements optimizer.Optimizer and marks the surrogate stale.
 func (b *BO) Observe(cfg space.Config, value float64) error {
 	if err := b.Recorder.Observe(cfg, value); err != nil {
@@ -315,11 +332,10 @@ func (b *BO) Observe(cfg space.Config, value float64) error {
 // tiers, hyperparameters are refitted every FitHyperEvery observations.
 func (b *BO) refit() error {
 	hist := b.History()
-	xs := make([][]float64, len(hist))
+	xs := b.encoded()
 	ys := make([]float64, len(hist))
 	haveInvalid := false
 	for i, obs := range hist {
-		xs[i] = b.encode(obs.Config)
 		ys[i] = obs.Value
 		if math.IsInf(obs.Value, 0) || math.IsNaN(obs.Value) {
 			haveInvalid = true
@@ -353,7 +369,10 @@ func (b *BO) refit() error {
 		if every > 0 && len(hist)-b.lastHyper >= every {
 			b.lastHyper = len(hist)
 			b.stats.HyperRefits++
-			if err := gm.FitHyper(xs, ys, 2, b.rng); err != nil {
+			before := gm.HyperEvals()
+			err := gm.FitHyper(xs, ys, 2, b.rng)
+			b.stats.HyperEvals += gm.HyperEvals() - before
+			if err != nil {
 				return fmt.Errorf("bo: hyper fit: %w", err)
 			}
 		} else if err := gm.Fit(xs, ys); err != nil {
@@ -441,8 +460,9 @@ func (b *BO) ensureModel() error {
 		b.modelDirty = false
 		return nil
 	}
-	for _, obs := range pending {
-		if err := b.model.Observe(b.encode(obs.Config), b.modelUnitY(obs.Value)); err != nil {
+	enc := b.encoded()[b.absorbed:]
+	for i, obs := range pending {
+		if err := b.model.Observe(enc[i], b.modelUnitY(obs.Value)); err != nil {
 			return fmt.Errorf("bo: incremental observe: %w", err)
 		}
 		b.absorbed++

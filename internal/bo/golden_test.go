@@ -63,25 +63,38 @@ func TestGoldenSuggestStreams(t *testing.T) {
 		t.Skip("golden streams are pinned on amd64: fused multiply-add changes low bits elsewhere")
 	}
 	const budget, seed = 60, 12
-	tier := func(p bo.SurrogatePolicy) func(*space.Space, *rand.Rand) optimizer.Optimizer {
+	tierNoise := func(p bo.SurrogatePolicy, noise float64) func(*space.Space, *rand.Rand) optimizer.Optimizer {
 		return func(s *space.Space, rng *rand.Rand) optimizer.Optimizer {
 			// Budgets small enough that 60 trials saturate the sparse
 			// inducing set and the local models' caps.
 			return bo.NewWith(s, rng, bo.Options{
-				OneHot: true, RefineIters: 40, FitHyperEvery: 10,
+				OneHot: true, RefineIters: 40, FitHyperEvery: 10, Noise: noise,
 				Surrogate: p, SparseBudget: 24, LocalCap: 24,
 			})
 		}
 	}
+	tier := func(p bo.SurrogatePolicy) func(*space.Space, *rand.Rand) optimizer.Optimizer {
+		return tierNoise(p, 0)
+	}
 	arms := []struct {
 		name string
 		mk   func(*space.Space, *rand.Rand) optimizer.Optimizer
+		// parentEvals, when set, is Stats().HyperEvals at the end of this
+		// arm as counted at the commit before FitHyper got its stopping
+		// tolerance; the arm must now spend at most half of it.
+		parentEvals int
 	}{
-		{"dense", tier(bo.SurrogateDense)},
-		{"sparse", tier(bo.SurrogateSparse)},
-		{"forest", tier(bo.SurrogateForest)},
-		{"local", tier(bo.SurrogateLocal)},
-		{"smac", func(s *space.Space, rng *rand.Rand) optimizer.Optimizer { return smac.New(s, rng) }},
+		{name: "dense", mk: tier(bo.SurrogateDense)},
+		{name: "sparse", mk: tier(bo.SurrogateSparse)},
+		{name: "forest", mk: tier(bo.SurrogateForest)},
+		{name: "local", mk: tier(bo.SurrogateLocal)},
+		{name: "smac", mk: func(s *space.Space, rng *rand.Rand) optimizer.Optimizer { return smac.New(s, rng) }},
+		// From the default noise 1e-6 (ln = -13.8) every FitHyper candidate
+		// near the start fails its -12 range check, so the arms above can
+		// finish without one real hyperparameter search. This arm starts
+		// in range: each of its refits searches, and its stream moves when
+		// the search does.
+		{name: "dense-noise1e-4", mk: tierNoise(bo.SurrogateDense, 1e-4), parentEvals: 2509},
 	}
 	var got bytes.Buffer
 	for _, arm := range arms {
@@ -94,6 +107,12 @@ func TestGoldenSuggestStreams(t *testing.T) {
 			fmt.Fprintf(&got, "%s %02d %s\n", arm.name, i, cfg.Key())
 			if err := opt.Observe(cfg, goldenObjective(cfg)); err != nil {
 				t.Fatalf("%s trial %d: %v", arm.name, i, err)
+			}
+		}
+		if arm.parentEvals > 0 {
+			if st := opt.(*bo.BO).Stats(); st.HyperRefits != 5 || 2*st.HyperEvals > arm.parentEvals {
+				t.Errorf("%s: %d hyper refits spent %d likelihood evaluations, want 5 refits and at most half of %d",
+					arm.name, st.HyperRefits, st.HyperEvals, arm.parentEvals)
 			}
 		}
 	}

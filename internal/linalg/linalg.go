@@ -7,6 +7,14 @@
 // the triangular solves, Dot — hoist row slices and block for cache
 // locality because they sit on the per-suggestion path of the Bayesian
 // optimizer, but there is no SIMD or cgo.
+//
+// Exactness contract: Dot fixes the order in which an inner product is
+// summed (four interleaved partial sums, then the tail), and every faster
+// kernel built on it — Dot2, the two-rows-per-pass CholeskyInto,
+// SolveLower2Into — produces bitwise the single-row result. Pairing shares
+// the loads of one operand between two independent sums; it never
+// reassociates a sum. That is what lets a kernel change land under the
+// golden suggest streams and fitted-bits fixtures without regenerating them.
 package linalg
 
 import (
@@ -179,6 +187,40 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// Dot2 returns a0·b and a1·b from one pass over b. Each result is bitwise
+// what Dot(a0, b) and Dot(a1, b) return — the same four partial sums, added
+// in the same order — so a caller may pair rows freely without moving a
+// result bit; sharing the loads of b is the whole saving. (A NaN result is a
+// NaN; which payload it carries is not part of the contract.)
+//
+//autolint:hotpath
+func Dot2(a0, a1, b []float64) (float64, float64) {
+	if len(a0) != len(b) || len(a1) != len(b) {
+		panic("linalg: dot2 length mismatch")
+	}
+	a0, a1 = a0[:len(b)], a1[:len(b)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		b0, b1, b2, b3 := b[i], b[i+1], b[i+2], b[i+3]
+		s0 += a0[i] * b0
+		s1 += a0[i+1] * b1
+		s2 += a0[i+2] * b2
+		s3 += a0[i+3] * b3
+		t0 += a1[i] * b0
+		t1 += a1[i+1] * b1
+		t2 += a1[i+2] * b2
+		t3 += a1[i+3] * b3
+	}
+	s := s0 + s1 + s2 + s3
+	t := t0 + t1 + t2 + t3
+	for ; i < len(b); i++ {
+		s += a0[i] * b[i]
+		t += a1[i] * b[i]
+	}
+	return s, t
 }
 
 // Norm2 returns the Euclidean norm of x.

@@ -96,3 +96,40 @@ func BenchmarkSolveLower(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCholeskyInto times the factorization alone (no allocation) at
+// the depth of a bo-study refit (192) and at DenseMax (512), where FitHyper
+// calls it hundreds of times per refit.
+func BenchmarkCholeskyInto(b *testing.B) {
+	for _, n := range []int{192, 512} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			a := randSPD(n, rand.New(rand.NewSource(1)))
+			l := NewMatrix(n, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := CholeskyInto(a, l, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var dotSink float64
+
+// BenchmarkDot2 puts one paired pass beside the two Dot calls it replaces.
+func BenchmarkDot2(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	x, y, z := randVec(rng, 192), randVec(rng, 192), randVec(rng, 192)
+	b.Run("dot2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s, t := Dot2(x, y, z)
+			dotSink += s + t
+		}
+	})
+	b.Run("dot-twice", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dotSink += Dot(x, z) + Dot(y, z)
+		}
+	})
+}
