@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help check vet build test race race-core bench e2e-bench e2e-pairs loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history serve loadtest serve-contract
+.PHONY: help check vet build test race race-core bench e2e-bench e2e-pairs loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history fuzz-quick serve loadtest serve-contract
 
 help:
 	@echo "Targets:"
@@ -19,13 +19,14 @@ help:
 	@echo "  soak                long-running race soak of sched + trial"
 	@echo "  crash               full fault-injection torture of the study store (every fault point, every byte prefix)"
 	@echo "  crash-quick         sampled torture sweep (the slice of crash that rides in check)"
-	@echo "  zero-alloc          allocs/op gates: gp.Predict, warm bo.Suggest, space encoders"
+	@echo "  zero-alloc          allocs/op gates: gp.Predict, warm bo.Suggest, space encoders, count=64 suggest handler"
+	@echo "  fuzz-quick          10 s of FuzzConfigAppendJSON: space.Config's JSON writer against encoding/json (rides in check)"
 	@echo "  race-core           focused -race pass over the lock-discipline-critical packages"
 	@echo "  lint                repo-specific static analysis, both tiers (cmd/autolint -typed)"
 	@echo "  lint-fixtures       re-goldenize lint fixture outputs (requires UPDATE=1)"
 	@echo "  fmt / fmt-check     gofmt the tree / fail if gofmt is needed"
 
-check: fmt-check vet lint build race-core race incremental-default zero-alloc deep-history crash-quick serve-contract
+check: fmt-check vet lint build race-core race incremental-default zero-alloc fuzz-quick deep-history crash-quick serve-contract
 
 # Quick deep-history arm (PR 9 invariant): the surrogate tier ladder is
 # bitwise-deterministic (sparse == dense below the budget, switch points
@@ -72,11 +73,20 @@ crash-quick:
 
 # Pin the zero-allocation hot paths (PR 5 invariant): gp.Predict and the
 # space encoders at exactly zero allocs/op warm, bo.Suggest under its
-# documented ceiling.
+# documented ceiling, and a count=64 suggest through Server.ServeHTTP
+# under the ceiling the hand-written response encoder bought (PR 14).
 zero-alloc:
 	$(GO) test ./internal/gp -run TestPredictZeroAllocs -count=1
 	$(GO) test ./internal/space -run 'Test(EncodeInto|SampleInto)ZeroAllocs' -count=1
 	$(GO) test ./internal/bo -run TestSuggestWarmAllocs -count=1
+	$(GO) test ./internal/server -run TestSuggestHandlerAllocs -count=1
+
+# Ten seconds of differential fuzzing: space.Config.AppendJSON must write
+# json.Marshal's bytes or fail where it fails. New coverage stays in the
+# go build cache; a crasher lands in internal/space/testdata/fuzz and is
+# checked in, where plain `go test` replays it from then on.
+fuzz-quick:
+	$(GO) test ./internal/space -run '^$$' -fuzz FuzzConfigAppendJSON -fuzztime 10s
 
 # Assert the incremental surrogate path is enabled by default and agrees
 # with full refits (PR 4 invariant).

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 
 	"autotune/internal/trial"
 )
@@ -154,20 +156,15 @@ func (c *Client) Best(ctx context.Context, study string) (BestResult, error) {
 func (c *Client) Pareto(ctx context.Context, study string, objectives ...string) (ParetoResult, error) {
 	path := "/v1/studies/" + study + "/pareto"
 	if len(objectives) > 0 {
-		path += "?objectives="
-		for i, o := range objectives {
-			if i > 0 {
-				path += ","
-			}
-			path += o
-		}
+		path += "?objectives=" + url.QueryEscape(strings.Join(objectives, ","))
 	}
 	var resp ParetoResult
 	err := c.do(ctx, http.MethodGet, path, nil, &resp)
 	return resp, err
 }
 
-// Trials returns the study's durable history in ack order.
+// Trials returns the study's durable history: in ack order while the
+// daemon that took the acks lives, in trial-ID order after a restart.
 func (c *Client) Trials(ctx context.Context, study string) ([]trial.TrialRecord, error) {
 	var resp trialsResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/studies/"+study+"/trials", nil, &resp); err != nil {

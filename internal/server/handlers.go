@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"autotune/internal/sched"
 	"autotune/internal/studystore"
@@ -19,8 +21,8 @@ import (
 // derives its context from the request (the deadline middleware in
 // ServeHTTP already bounded it), validates inputs into typed forms, and
 // maps session errors onto statuses: client mistakes 400, unknown study
-// 404, read-only/exhausted 409, shed load 429, panics 500, degraded
-// store 503, missed deadline 504.
+// 404, read-only/exhausted 409, oversized body 413, shed load 429, panics
+// and unencodable responses 500, degraded store 503, missed deadline 504.
 
 // maxBodyBytes bounds request bodies; observe batches are the largest
 // legitimate payloads.
@@ -38,14 +40,39 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// writeJSON writes a JSON response; a failed write means the client went
-// away, which is only worth a counter.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// respond is the one place a response body is written. encode appends the
+// whole body to a pooled buffer before the status line is sent, so a failed
+// encode is a 500 with the error envelope, never a 2xx with half a body. A
+// failed Write means the client went away, which is only worth a counter.
+func (s *Server) respond(w http.ResponseWriter, status int, encode func(dst []byte) ([]byte, error)) {
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	body, err := encode((*bp)[:0])
+	if err != nil {
+		s.logf("encode %d response: %v", status, err)
+		s.writeError(w, http.StatusInternalServerError, "encode_failed", "encode response: "+err.Error())
+		return
+	}
+	if cap(body) <= 1<<20 { // one huge trials listing is not worth pinning in the pool
+		*bp = body
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.m.writeErrs.Add(1)
 	}
+}
+
+// writeJSON responds with v as encoding/json writes it (every body but a 200 suggest's).
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	s.respond(w, status, func(dst []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(dst)
+		err := json.NewEncoder(buf).Encode(v)
+		return buf.Bytes(), err
+	})
 }
 
 // writeError writes the error envelope; 429s carry Retry-After so shed
@@ -59,11 +86,15 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 
 // decode reads a JSON body into v; an empty body leaves v zero (useful
 // for suggest, where everything is optional). Returns false after
-// writing a 400.
+// writing a 400, or a 413 for a body over maxBodyBytes.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_body", "read body: "+err.Error())
+		status, code := http.StatusBadRequest, "bad_body"
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status, code = http.StatusRequestEntityTooLarge, "body_too_large"
+		}
+		s.writeError(w, status, code, "read body: "+err.Error())
 		return false
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
@@ -239,7 +270,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.suggests.Add(int64(len(trials)))
-	s.writeJSON(w, http.StatusOK, suggestResponse{Study: study, Trials: trials, Exhausted: exhausted})
+	resp := suggestResponse{Study: study, Trials: trials, Exhausted: exhausted}
+	s.respond(w, http.StatusOK, func(dst []byte) ([]byte, error) { return appendSuggestResponse(dst, resp) })
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {

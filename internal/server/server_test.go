@@ -274,7 +274,7 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 }
 
 // mustJSON pins a value's canonical JSON for bitwise comparison.
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -64,7 +64,7 @@ type session struct {
 	opt      optimizer.Optimizer // nil when read-only
 	degraded string              // why opt is nil (error text for clients)
 	seen     map[int64]struct{}  // acked trial IDs: the dedup set
-	records  []trial.TrialRecord // observed trials in ack order
+	records  []trial.TrialRecord // observed trials: recovered ones by ID, then ack order
 	nextID   int64               // next trial ID to hand out
 
 	observed atomic.Int64 // len(records) mirror for lock-free listing
@@ -422,7 +422,8 @@ func dominatedBy(p ParetoPoint, pts []ParetoPoint) bool {
 	return false
 }
 
-// trials returns a copy of the observed history in ack order.
+// trials returns a copy of the observed history: ack order on a live
+// study, trial-ID order for what recoverSession replayed from the store.
 func (ss *session) trials(ctx context.Context) ([]trial.TrialRecord, error) {
 	if err := ss.lock(ctx); err != nil {
 		return nil, err

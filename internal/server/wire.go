@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"strconv"
 
 	"autotune/internal/space"
 )
@@ -256,6 +257,35 @@ type suggestResponse struct {
 	Study     string           `json:"study"`
 	Trials    []SuggestedTrial `json:"trials"`
 	Exhausted bool             `json:"exhausted,omitempty"`
+}
+
+// appendSuggestResponse appends the suggest body, byte for byte what
+// json.NewEncoder(w).Encode(r) writes: the struct tags stay the format's
+// definition, and TestSuggestResponseMatchesEncodingJSON holds it to them.
+func appendSuggestResponse(dst []byte, r suggestResponse) ([]byte, error) {
+	dst = append(dst, `{"study":`...)
+	dst = append(space.AppendJSONString(dst, r.Study), `,"trials":`...)
+	if r.Trials == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, t := range r.Trials {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, `{"trial":`...), t.Trial, 10)
+			cfg, err := space.Config(t.Config).AppendJSON(append(dst, `,"config":`...))
+			if err != nil {
+				return dst, fmt.Errorf("trial %d: %w", t.Trial, err)
+			}
+			dst = append(cfg, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if r.Exhausted {
+		dst = append(dst, `,"exhausted":true`...)
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // Observation is one measured trial reported back to the service.
