@@ -1,26 +1,25 @@
 GO ?= go
 
-.PHONY: help check vet build test race race-core bench e2e-bench e2e-pairs loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history fuzz-quick serve loadtest serve-contract
+.PHONY: help check vet build test race race-core bench e2e-bench e2e-pairs loc profile soak crash crash-quick fmt fmt-check lint lint-fixtures incremental-default zero-alloc deep-history fuzz-quick serve serve-contract
 
 help:
 	@echo "Targets:"
 	@echo "  check               fmt-check + vet + lint + build + race-core + race + invariants"
 	@echo "  test                go test ./..."
 	@echo "  race                go test -race ./..."
-	@echo "  bench               quick experiment suite + perf gates (BENCH_4, 6..9.json; BENCH_5.json is a frozen record)"
+	@echo "  bench               quick experiment suite + perf gates (BENCH_4, 6, 8.json; BENCH_5, 7, 9.json are frozen records)"
 	@echo "  e2e-bench           quick pass of the repo benchmark (BENCHMARK.json: daemon subprocess, four workloads)"
 	@echo "  e2e-pairs           BASE=<rev> WORKLOAD=<name> [N=10]: alternate parent/change runs of the repo benchmark, then -compare"
 	@echo "  loc                 non-test Go line count outside benchmark/ and lint fixtures (ROADMAP item 2 gate)"
 	@echo "  deep-history        surrogate tier determinism tests + quick scaling gate (rides in check)"
 	@echo "  serve               run the tuning daemon locally (store: ./.autotuned; SIGTERM drains)"
-	@echo "  loadtest            full tuning-as-a-service load run against a fresh daemon (BENCH_7 shape)"
 	@echo "  serve-contract      service robustness tests: overload shedding, graceful drain, kill -9 recovery"
 	@echo "  profile             CPU/heap pprof of the quick surrogate scaling benchmark (cpu.pprof, mem.pprof)"
 	@echo "  soak                long-running race soak of sched + trial"
 	@echo "  crash               full fault-injection torture of the study store (every fault point, every byte prefix)"
 	@echo "  crash-quick         sampled torture sweep (the slice of crash that rides in check)"
 	@echo "  zero-alloc          allocs/op gates: gp.Predict, warm bo.Suggest, space encoders, count=64 suggest handler"
-	@echo "  fuzz-quick          10 s of FuzzConfigAppendJSON: space.Config's JSON writer against encoding/json (rides in check)"
+	@echo "  fuzz-quick          10 s each of FuzzConfigAppendJSON and FuzzDecodeRecord: the hand-written JSON writer and record decoder against encoding/json (rides in check)"
 	@echo "  race-core           focused -race pass over the lock-discipline-critical packages"
 	@echo "  lint                repo-specific static analysis, both tiers (cmd/autolint -typed)"
 	@echo "  lint-fixtures       re-goldenize lint fixture outputs (requires UPDATE=1)"
@@ -53,11 +52,6 @@ serve-contract:
 serve:
 	$(GO) run ./cmd/autotuned -store .autotuned
 
-# Full-scale service load run (the BENCH_7 shape) without the gate, for
-# interactive tuning on this machine.
-loadtest:
-	$(GO) run ./cmd/bench -serve
-
 # Crash-torture the segmented study store (PR 6 invariant): kill the
 # store at every injected fault point and every byte prefix of the log,
 # reopen, and assert exactly-once recovery. The TestTorture pattern also
@@ -81,12 +75,16 @@ zero-alloc:
 	$(GO) test ./internal/bo -run TestSuggestWarmAllocs -count=1
 	$(GO) test ./internal/server -run TestSuggestHandlerAllocs -count=1
 
-# Ten seconds of differential fuzzing: space.Config.AppendJSON must write
-# json.Marshal's bytes or fail where it fails. New coverage stays in the
-# go build cache; a crasher lands in internal/space/testdata/fuzz and is
-# checked in, where plain `go test` replays it from then on.
+# Ten seconds each of differential fuzzing against encoding/json:
+# space.Config.AppendJSON must write json.Marshal's bytes or fail where it
+# fails, and trial.DecodeRecord — the decoder every replay goes through —
+# must return json.Unmarshal's record or fail where it fails. New coverage
+# stays in the go build cache; a crasher lands in the package's
+# testdata/fuzz and is checked in, where plain `go test` replays it from
+# then on.
 fuzz-quick:
 	$(GO) test ./internal/space -run '^$$' -fuzz FuzzConfigAppendJSON -fuzztime 10s
+	$(GO) test ./internal/trial -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
 
 # Assert the incremental surrogate path is enabled by default and agrees
 # with full refits (PR 4 invariant).
@@ -129,9 +127,8 @@ bench:
 	$(GO) run ./cmd/bench -quick
 	$(GO) run ./cmd/bench -suggestbench -minspeedup 10 -out BENCH_4.json
 	$(GO) run ./cmd/bench -replay -minreplay 100000 -out BENCH_6.json
-	$(GO) run ./cmd/bench -serve -minstudies 1000 -minsuggest 50000 -out BENCH_7.json
 	$(GO) run ./cmd/bench -scalebench -minspeedup 10 -maxregret 1.5 -out BENCH_8.json
-	$(GO) run ./cmd/bench -observebench -minobserveratio 10 -minobserve 1000 -out BENCH_9.json
+	$(GO) run ./cmd/bench -observebench -minobserveratio 10
 	$(GO) test -bench 'Benchmark(GPPredict|BOSuggest|SpaceEncode)' -benchmem -run xxx .
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md) at smoke scale:

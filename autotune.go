@@ -223,26 +223,24 @@ func Minimize(o Optimizer, f func(Config) float64, budget int) (Config, float64,
 }
 
 // Tune runs the full-featured tuning loop (crash handling, parallelism,
-// early abort, fidelity, checkpointing) of an optimizer against an
+// early abort, fidelity, write-ahead journaling) of an optimizer against an
 // environment.
 func Tune(o Optimizer, env Environment, opts TuneOptions) (Report, error) {
 	return trial.Run(o, env, opts)
 }
 
 // TuneContext is Tune with cancellation: the loop stops at the next batch
-// boundary once ctx is cancelled, checkpointing progress when
-// TuneOptions.Checkpoint is set.
+// boundary once ctx is cancelled; every finished trial is already in
+// TuneOptions.Store when one is set.
 func TuneContext(ctx context.Context, o Optimizer, env Environment, opts TuneOptions) (Report, error) {
 	return trial.RunContext(ctx, o, env, opts)
 }
 
-// ResumeTune continues a killed tuning session from
-// TuneOptions.Checkpoint and/or the write-ahead journal in the study
-// store at TuneOptions.Store: recorded trials are replayed into the
-// optimizer without re-running them, then the loop finishes the
-// remaining budget.
-// The journal is the finer-grained source — it keeps trials finished
-// after the last checkpoint, so a kill mid-batch loses nothing.
+// ResumeTune continues a killed tuning session from the write-ahead
+// journal in the study store at TuneOptions.Store: recorded trials are
+// replayed into the optimizer without re-running them, then the loop
+// finishes the remaining budget. The journal keeps every trial that
+// finished, so a kill mid-batch loses nothing.
 func ResumeTune(o Optimizer, env Environment, opts TuneOptions) (Report, error) {
 	return trial.Resume(o, env, opts)
 }

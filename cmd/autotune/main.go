@@ -7,18 +7,16 @@
 //	autotune -system simredis -workload ycsb-b -metric p95 -optimizer smac
 //	autotune -system simdb -optimizer bo -parallel 4 -out report.json
 //
-// Resilient execution (fault injection, retries, deadlines, checkpoints):
+// Resilient execution (fault injection, retries, deadlines):
 //
 //	autotune -system simdb -faults 0.25 -retries 4 -trial-timeout 2s
-//	autotune -system simdb -budget 200 -checkpoint ckpt.json
-//	autotune -system simdb -budget 200 -checkpoint ckpt.json -resume
 //
 // Asynchronous scheduling (hedged stragglers):
 //
 //	autotune -system simdb -parallel 8 -sched -hedge 0.9 -faults 0.2
 //
 // Persistent study store (the write-ahead trial journal: segmented,
-// crash-safe, multi-study):
+// crash-safe, multi-study) and resuming a killed run from it:
 //
 //	autotune -system simdb -budget 200 -store studies/
 //	autotune -system simdb -budget 200 -store studies/ -resume
@@ -57,7 +55,6 @@ type cliOptions struct {
 	hangs        float64 // hang injection rate (0 = off)
 	retries      int
 	trialTimeout time.Duration
-	checkpoint   string
 	resume       bool
 
 	// Asynchronous scheduling.
@@ -94,8 +91,7 @@ func main() {
 	flag.Float64Var(&o.hangs, "hangs", 0, "inject hanging trials at this rate (0 = off)")
 	flag.IntVar(&o.retries, "retries", 0, "retry transient trial failures this many times (exponential backoff)")
 	flag.DurationVar(&o.trialTimeout, "trial-timeout", 0, "per-trial deadline (0 = unbounded)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint the run to this file (enables -resume)")
-	flag.BoolVar(&o.resume, "resume", false, "resume from -checkpoint/-store instead of starting over")
+	flag.BoolVar(&o.resume, "resume", false, "resume from -store instead of starting over")
 	flag.BoolVar(&o.sched, "sched", false, "run trials on the asynchronous scheduler instead of the batch barrier")
 	flag.IntVar(&o.workers, "workers", 0, "scheduler worker slots (0 = one per parallel trial)")
 	flag.Float64Var(&o.hedge, "hedge", 0, "hedge stragglers past this quantile of recent durations (0 = off, implies -sched)")
@@ -205,7 +201,7 @@ func run(o cliOptions) error {
 	}
 	topts := trial.Options{
 		Budget: o.budget, Parallel: o.parallel, AbortMargin: o.abortMargin, Fidelity: o.fidelity,
-		Checkpoint: o.checkpoint, DedupEvals: o.dedup,
+		DedupEvals: o.dedup,
 	}
 	var storeSink *trial.StudyJournal
 	if o.store != "" {
@@ -239,14 +235,10 @@ func run(o cliOptions) error {
 	ctx := context.Background()
 	var rep trial.Report
 	if o.resume {
-		if o.checkpoint == "" && o.store == "" {
-			return fmt.Errorf("-resume needs -checkpoint or -store")
+		if o.store == "" {
+			return fmt.Errorf("-resume needs -store")
 		}
-		from := o.checkpoint
-		if from == "" {
-			from = o.store
-		}
-		fmt.Printf("resuming %s on %s from %s...\n", o.system, wl.Name, from)
+		fmt.Printf("resuming %s on %s from %s...\n", o.system, wl.Name, o.store)
 		rep, err = trial.ResumeContext(ctx, opt, env, topts)
 	} else {
 		fmt.Printf("tuning %s on %s (%s VM) with %s, %d trials...\n",

@@ -63,11 +63,11 @@ func TestRunWithFaultInjectionAndRetries(t *testing.T) {
 func TestRunCheckpointThenResume(t *testing.T) {
 	o := base()
 	o.budget = 8
-	o.checkpoint = filepath.Join(t.TempDir(), "ckpt.json")
+	o.store = t.TempDir()
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	// Resume from the completed checkpoint: nothing left to run, but the
+	// Resume from the completed store: nothing left to run, but the
 	// report must be reproduced.
 	o.resume = true
 	if err := run(o); err != nil {
@@ -189,7 +189,7 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("unknown metric should error")
 	}
 	if err := run(bad(func(o *cliOptions) { o.resume = true })); err == nil {
-		t.Fatal("resume without checkpoint should error")
+		t.Fatal("resume without a store should error")
 	}
 }
 

@@ -13,6 +13,11 @@
 //	bench -scalebench -out BENCH_8.json -minspeedup 10 -maxregret 1.5
 //	                           # surrogate tier scaling benchmark (PR 9)
 //	bench -scalebench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+//	bench -observebench -minobserveratio 10
+//	                           # store saturation: group commit vs per-caller fsync (PR 10)
+//
+// Service throughput and latency (the former -serve and the service arms of
+// -observebench) are measured by the repo benchmark, `go run ./benchmark`.
 package main
 
 import (
@@ -35,20 +40,14 @@ func main() {
 		seed      = flag.Int64("seed", 20250706, "random seed")
 		suggest   = flag.Bool("suggestbench", false, "run the suggest-path scaling benchmark instead of the experiment suite")
 		replay    = flag.Bool("replay", false, "run the study-store write/replay benchmark instead of the experiment suite")
-		serve     = flag.Bool("serve", false, "run the tuning-as-a-service load benchmark instead of the experiment suite")
 		scale     = flag.Bool("scalebench", false, "run the surrogate tier scaling benchmark (BENCH_8) instead of the experiment suite")
-		observeB  = flag.Bool("observebench", false, "run the durable observe throughput benchmark (BENCH_9) instead of the experiment suite")
+		observeB  = flag.Bool("observebench", false, "run the store-saturation benchmark (group commit vs per-caller fsync) instead of the experiment suite")
 		out       = flag.String("out", "", "write benchmark results to this JSON file")
 		minSpeed  = flag.Float64("minspeedup", 0, "fail unless the benchmark speedup reaches this factor (0 disables)")
 		minReplay = flag.Float64("minreplay", 0, "with -replay: fail unless replay sustains this many records/sec (0 disables)")
-		minStudy  = flag.Int("minstudies", 0, "with -serve: fail unless this many concurrent studies are sustained (0 disables)")
-		minSugg   = flag.Float64("minsuggest", 0, "with -serve: fail unless this many suggests/sec are sustained (0 disables)")
-		srvWork   = flag.Int("serve-workers", 0, "with -serve/-observebench: load worker count override (0 = arm default)")
-		obsBatch  = flag.Int("observe-per-batch", 0, "with -serve/-observebench: observations per observe request (0 = arm default)")
-		minObs    = flag.Float64("minobserve", 0, "with -observebench: fail unless the group-commit service arm sustains this many durable observes/sec (0 disables)")
 		minObsRat = flag.Float64("minobserveratio", 0, "with -observebench: fail unless group-commit beats the per-caller-fsync baseline by this factor at the store (0 disables)")
 		maxRegret = flag.Float64("maxregret", 0, "with -scalebench: fail if the tiered/dense regret ratio exceeds this (0 disables)")
-		boHistCap = flag.Int("bo-history-cap", 0, "with -serve: observation feed cap per model-guided study; with -scalebench: deep-history study size (0 = default)")
+		boHistCap = flag.Int("bo-history-cap", 0, "with -scalebench: deep-history study size (0 = default)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -90,14 +89,7 @@ func main() {
 		return
 	}
 	if *observeB {
-		if err := runObserveBench(*quick, *seed, *out, *srvWork, *obsBatch, *minObs, *minObsRat); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serve {
-		if err := runServeBench(*quick, *seed, *out, *minStudy, *minSugg, *boHistCap, *srvWork, *obsBatch); err != nil {
+		if err := runObserveBench(*quick, *out, *minObsRat); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

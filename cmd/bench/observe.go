@@ -9,60 +9,50 @@ import (
 	"autotune/internal/experiments"
 )
 
-// runObserveBench runs the durable observe throughput benchmark
-// (BENCH_9): the per-caller-fsync baseline against group commit, at the
-// store boundary (the gated ratio — durability matched, same disk) and
-// end to end through the daemon's observe path. It prints the table,
-// optionally writes JSON, and optionally enforces the PR-10 gates: a
-// store-level amortization ratio floor and an absolute durable
-// observe/s floor on the group-commit service arm.
-func runObserveBench(quick bool, seed int64, outPath string, workers, observePerBatch int, minObserve, minRatio float64) error {
+// runObserveBench runs the store-saturation benchmark: the
+// per-caller-fsync baseline against group commit under the same concurrent
+// append load, durability matched, same disk. It prints the table,
+// optionally writes JSON (the "store" part of the frozen BENCH_9.json
+// schema), and optionally enforces the amortization ratio floor — a ratio
+// travels between machines; durable observes per second through the whole
+// daemon are the repo benchmark's observe-durable workload.
+func runObserveBench(quick bool, outPath string, minRatio float64) error {
+	writers, measure := 64, 5*time.Second
+	if quick {
+		writers, measure = 16, time.Second
+	}
 	start := time.Now()
-	res, err := experiments.ObserveThroughput(quick, seed, workers, observePerBatch)
+	st, err := experiments.StoreSaturation(writers, measure)
 	if err != nil {
 		return fmt.Errorf("observebench: %w", err)
 	}
 	tab := experiments.Table{
 		ID:    "B9",
-		Title: "Durable observe throughput: per-caller fsync vs group commit",
-		Claim: "a leader-drained shared fsync amortizes the durability barrier across every concurrent observer without weakening ack-after-fsync",
-		Headers: []string{"arm", "layer", "writers", "obs/req", "wall (s)", "observe/s",
-			"fsyncs", "mean group", "max group", "p50 (ms)", "p99 (ms)"},
-		Notes: fmt.Sprintf("store ratio %.1fx, service ratio %.1fx; baseline is the same commit path forced to groups of one",
-			res.Store.Ratio, res.ServiceRatio),
+		Title: "Durable append throughput: per-caller fsync vs group commit",
+		Claim: "a leader-drained shared fsync amortizes the durability barrier across every concurrent appender without weakening ack-after-fsync",
+		Headers: []string{"arm", "writers", "wall (s)", "append/s",
+			"fsyncs", "mean group", "max group"},
+		Notes: fmt.Sprintf("store ratio %.1fx; baseline is the same commit path forced to groups of one", st.Ratio),
 	}
-	st := res.Store
 	tab.Rows = append(tab.Rows,
-		[]string{"per-caller-fsync", "store", fmt.Sprintf("%d", st.Writers), "1",
+		[]string{"per-caller-fsync", fmt.Sprintf("%d", st.Writers),
 			fmt.Sprintf("%.2f", st.Seconds), fmt.Sprintf("%.0f", st.BaselinePerSec),
-			fmt.Sprintf("%d", st.BaselineFsyncs), "1.0", "1", "-", "-"},
-		[]string{"group-commit", "store", fmt.Sprintf("%d", st.Writers), "1",
+			fmt.Sprintf("%d", st.BaselineFsyncs), "1.0", "1"},
+		[]string{"group-commit", fmt.Sprintf("%d", st.Writers),
 			fmt.Sprintf("%.2f", st.Seconds), fmt.Sprintf("%.0f", st.GroupPerSec),
 			fmt.Sprintf("%d", st.GroupFsyncs), fmt.Sprintf("%.1f", st.GroupMean),
-			fmt.Sprintf("%d", st.GroupMax), "-", "-"},
+			fmt.Sprintf("%d", st.GroupMax)},
 	)
-	for _, a := range []experiments.ObserveArmResult{res.Baseline, res.Group} {
-		tab.Rows = append(tab.Rows, []string{
-			a.Arm.Name, "service",
-			fmt.Sprintf("%d", a.Arm.Workers),
-			fmt.Sprintf("%d", a.Arm.ObservePerBatch),
-			fmt.Sprintf("%.2f", a.WallSeconds),
-			fmt.Sprintf("%.0f", a.ObservePerSec),
-			fmt.Sprintf("%d", a.Fsyncs),
-			fmt.Sprintf("%.1f", a.MeanGroup),
-			fmt.Sprintf("%d", a.MaxGroup),
-			fmt.Sprintf("%.2f", a.ObserveP50Ms),
-			fmt.Sprintf("%.2f", a.ObserveP99Ms),
-		})
-	}
 	printTable(tab, time.Since(start))
 	if outPath != "" {
+		type result struct {
+			Store experiments.StoreSaturationResult `json:"store"`
+		}
 		doc := struct {
-			Benchmark string                    `json:"benchmark"`
-			Quick     bool                      `json:"quick"`
-			Seed      int64                     `json:"seed"`
-			Result    experiments.ObserveResult `json:"result"`
-		}{"durable-observe-throughput", quick, seed, res}
+			Benchmark string `json:"benchmark"`
+			Quick     bool   `json:"quick"`
+			Result    result `json:"result"`
+		}{"durable-observe-throughput", quick, result{st}}
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			return err
@@ -72,11 +62,8 @@ func runObserveBench(quick bool, seed int64, outPath string, workers, observePer
 		}
 		fmt.Printf("wrote %s\n", outPath)
 	}
-	if minRatio > 0 && res.Store.Ratio < minRatio {
-		return fmt.Errorf("observebench: store group-commit ratio %.1fx, want >= %.0fx", res.Store.Ratio, minRatio)
-	}
-	if minObserve > 0 && res.Group.ObservePerSec < minObserve {
-		return fmt.Errorf("observebench: group arm sustains %.0f observe/s, want >= %.0f", res.Group.ObservePerSec, minObserve)
+	if minRatio > 0 && st.Ratio < minRatio {
+		return fmt.Errorf("observebench: store group-commit ratio %.1fx, want >= %.0fx", st.Ratio, minRatio)
 	}
 	return nil
 }

@@ -2,8 +2,9 @@
 // 65-75) says real trials crash, hang, straggle, and lie. This demo tunes
 // the simulated DBMS through a fault injector (transient failures, hangs,
 // stragglers, TUNA-style flaky machines) hardened with retries, per-trial
-// deadlines, and crash-region quarantine — then kills a checkpointed run
-// mid-flight and resumes it without re-running completed trials.
+// deadlines, and crash-region quarantine — then kills a run that journals
+// into a study store mid-flight and resumes it from the store without
+// re-running completed trials.
 package main
 
 import (
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"autotune"
@@ -72,24 +72,25 @@ func main() {
 	fmt.Printf("  quality gap vs fault-free: %+.1f%%\n\n",
 		100*(faultyRep.BestValue-cleanRep.BestValue)/cleanRep.BestValue)
 
-	// ---- 3. Kill a checkpointed run, then resume it. ------------------
-	ckpt := filepath.Join(os.TempDir(), "autotune-faulttolerant-ckpt.json")
-	defer os.Remove(ckpt)
-	ckptOpts := trial.Options{Budget: opts.Budget, Checkpoint: ckpt, CheckpointEvery: 1}
+	// ---- 3. Kill a run journaling into a study store, then resume it. --
+	store, err := os.MkdirTemp("", "autotune-faulttolerant-store")
+	check(err)
+	defer os.RemoveAll(store)
+	storeOpts := trial.Options{Budget: opts.Budget, Store: store}
 
 	killable := newCountingEnv(newEnv())
 	ctx, cancel := context.WithCancel(context.Background())
 	killable.after(15, cancel) // "kill -9" after 15 trials
 	opt1, _ := autotune.NewOptimizer("smac", killable.Space(), 1)
-	_, err = trial.RunContext(ctx, opt1, killable, ckptOpts)
+	_, err = trial.RunContext(ctx, opt1, killable, storeOpts)
 	fmt.Printf("killed mid-run after %d trials: %v\n", killable.runs, err)
 
-	// A fresh process: new optimizer, same checkpoint.
+	// A fresh process: new optimizer, same store.
 	ranBefore := killable.runs
 	opt2, _ := autotune.NewOptimizer("smac", killable.Space(), 2)
-	rep, err := trial.Resume(opt2, killable, ckptOpts)
+	rep, err := trial.Resume(opt2, killable, storeOpts)
 	check(err)
-	fmt.Printf("resumed: %d trials replayed from checkpoint, %d run fresh, best %7.3f ms\n",
+	fmt.Printf("resumed: %d trials replayed from the store, %d run fresh, best %7.3f ms\n",
 		rep.Resumed, killable.runs-ranBefore, rep.BestValue)
 	if killable.runs-ranBefore != opts.Budget-rep.Resumed {
 		panic("resume re-ran completed trials")

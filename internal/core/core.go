@@ -86,13 +86,13 @@ func (t *Tuner) Run() (trial.Report, error) {
 }
 
 // RunContext executes the tuning session with cancellation: the loop
-// stops at the next batch boundary once ctx is cancelled, checkpointing
-// progress when Options.Checkpoint is set.
+// stops at the next batch boundary once ctx is cancelled; every finished
+// trial is already in Options.Store when one is set.
 func (t *Tuner) RunContext(ctx context.Context) (trial.Report, error) {
 	return trial.RunContext(ctx, t.Optimizer, t.Env, t.Options)
 }
 
-// Resume continues a killed session from Options.Checkpoint, replaying
+// Resume continues a killed session from Options.Store, replaying
 // recorded trials into the optimizer without re-running them.
 func (t *Tuner) Resume(ctx context.Context) (trial.Report, error) {
 	return trial.ResumeContext(ctx, t.Optimizer, t.Env, t.Options)

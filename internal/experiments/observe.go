@@ -1,61 +1,26 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"autotune/internal/server"
 	"autotune/internal/studystore"
 )
 
-// observe.go is the BENCH_9 harness: durable observe throughput with and
-// without group commit, at matched durability (every ack strictly after
-// the fsync covering it). Two layers are measured on the same disk:
-//
-//   - Store saturation: concurrent writers calling AppendBatch directly.
-//     This isolates the durable-write path the group-commit PR changed —
-//     the per-caller-fsync baseline hard-serializes at ~1/fsync, so the
-//     ratio here is the honest measure of fsync amortization.
-//   - Service saturation: the real daemon on loopback HTTP, workers
-//     flooding observe requests. This shows how much of the store-level
-//     win survives HTTP framing, JSON, and session locking end to end.
-//
-// The baseline arm is the identical binary with DisableGroupCommit set:
-// the same commit path forced to groups of one, i.e. exactly the PR 6
-// write path (one fsync per appender).
-
-// ObserveArm describes one service-saturation load shape.
-type ObserveArm struct {
-	Name    string `json:"name"`
-	Studies int    `json:"studies"`
-	Workers int    `json:"workers"`
-	// ObservePerBatch is the observations carried per observe request;
-	// every request is one durability barrier.
-	ObservePerBatch int    `json:"observe_per_batch"`
-	GroupCommit     bool   `json:"group_commit"`
-	Duration        string `json:"duration"`
-}
-
-// ObserveArmResult is the measured outcome of one service arm.
-type ObserveArmResult struct {
-	Arm           ObserveArm `json:"arm"`
-	WallSeconds   float64    `json:"wall_seconds"`
-	Observes      int64      `json:"observes"`
-	Errors        int64      `json:"errors"`
-	ObservePerSec float64    `json:"observe_per_sec"`
-	ObserveP50Ms  float64    `json:"observe_p50_ms"`
-	ObserveP99Ms  float64    `json:"observe_p99_ms"`
-	// Store counters after the run: how many fsyncs the arm cost and how
-	// many observe batches each one amortized.
-	Fsyncs    int     `json:"fsyncs"`
-	MeanGroup float64 `json:"mean_group"`
-	MaxGroup  int     `json:"max_group"`
-}
+// observe.go is the store-saturation harness behind cmd/bench
+// -observebench: durable append throughput with and without group commit,
+// at matched durability (every ack strictly after the fsync covering it),
+// concurrent writers calling AppendBatch directly on the same disk. The
+// per-caller-fsync baseline hard-serializes at ~1/fsync, so the ratio is
+// the honest measure of fsync amortization, and a ratio travels between
+// machines where an absolute rate does not. The baseline arm is the
+// identical binary with studystore.Options.DisableGroupCommit set: the
+// same commit path forced to groups of one. How much of the store-level
+// win survives HTTP, JSON and session locking is the repo benchmark's
+// observe-durable workload (benchmark/), not this file's business.
 
 // StoreSaturationResult is the store-level comparison: the same
 // concurrent append load against the per-caller-fsync baseline and the
@@ -72,14 +37,6 @@ type StoreSaturationResult struct {
 	GroupMean       float64 `json:"group_mean"`
 	GroupMax        int     `json:"group_max"`
 	Ratio           float64 `json:"ratio"`
-}
-
-// ObserveResult is the full BENCH_9 document body.
-type ObserveResult struct {
-	Store        StoreSaturationResult `json:"store"`
-	Baseline     ObserveArmResult      `json:"service_baseline"`
-	Group        ObserveArmResult      `json:"service_group"`
-	ServiceRatio float64               `json:"service_ratio"`
 }
 
 // storeSaturation floods one store with single-record appends from
@@ -167,172 +124,6 @@ func StoreSaturation(writers int, measure time.Duration) (StoreSaturationResult,
 	}
 	if res.BaselinePerSec > 0 {
 		res.Ratio = res.GroupPerSec / res.BaselinePerSec
-	}
-	return res, nil
-}
-
-// observeServiceArm boots the daemon with the arm's commit mode and
-// floods it with observe-only traffic: each worker owns one study and
-// reports synthetic trials (observes carry the config, so no suggest
-// round-trip dilutes the write path).
-func observeServiceArm(arm ObserveArm, seed int64) (ObserveArmResult, error) {
-	measure, err := time.ParseDuration(arm.Duration)
-	if err != nil {
-		return ObserveArmResult{}, err
-	}
-	env, err := startService(server.Options{
-		AdmissionLimit:     2 * arm.Workers,
-		DisableGroupCommit: !arm.GroupCommit,
-	})
-	if err != nil {
-		return ObserveArmResult{}, err
-	}
-	defer env.Close()
-	c := env.client
-	//autolint:ignore ctxpass the load harness is a program edge: cmd/bench owns the process lifetime
-	ctx := context.Background()
-
-	studies := make([]string, arm.Studies)
-	for i := range studies {
-		studies[i] = fmt.Sprintf("obs-%04d", i)
-		if _, err := c.CreateStudy(ctx, studies[i], serviceSpec("random", seed+int64(i))); err != nil {
-			return ObserveArmResult{}, fmt.Errorf("create %s: %w", studies[i], err)
-		}
-	}
-	// One config per study is enough: dedup is by trial ID and the random
-	// strategy's Observe is O(1), so the wire and barrier costs dominate
-	// exactly as they do for a real fleet reporting results.
-	cfg := map[string]any{"cache_mb": 512, "flush_interval": 1.5, "policy": "lru", "direct_io": false}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		lats     []time.Duration
-		observes int64
-		errs     int64
-		firstErr error
-		deadline = time.Now().Add(measure)
-		start    = time.Now()
-	)
-	for w := 0; w < arm.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("observe worker %d panicked: %v", w, r)
-					}
-					errs++
-					mu.Unlock()
-				}
-				wg.Done()
-			}()
-			study := studies[w%len(studies)]
-			var myLats []time.Duration
-			var myObs, myErrs int64
-			var myFirst error
-			next := int64(w) * 1_000_000_000 // disjoint ID ranges per worker
-			for time.Now().Before(deadline) {
-				obs := make([]server.Observation, arm.ObservePerBatch)
-				for j := range obs {
-					obs[j] = server.Observation{
-						Trial: next, Config: cfg,
-						Value: float64((next*2654435761)%1000) / 1000,
-					}
-					next++
-				}
-				t0 := time.Now()
-				res, err := c.Observe(ctx, study, obs...)
-				myLats = append(myLats, time.Since(t0))
-				if err != nil {
-					myErrs++
-					if myFirst == nil {
-						myFirst = err
-					}
-					continue
-				}
-				myObs += int64(res.Acked)
-			}
-			mu.Lock()
-			lats = append(lats, myLats...)
-			observes += myObs
-			errs += myErrs
-			if firstErr == nil {
-				firstErr = myFirst
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	if firstErr != nil {
-		return ObserveArmResult{}, fmt.Errorf("observe load: %d request errors, first: %w", errs, firstErr)
-	}
-	stats := env.srv.StoreStats()
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	quantile := func(q float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		return float64(lats[int(q*float64(len(lats)-1))]) / 1e6
-	}
-	return ObserveArmResult{
-		Arm:           arm,
-		WallSeconds:   wall,
-		Observes:      observes,
-		Errors:        errs,
-		ObservePerSec: float64(observes) / wall,
-		ObserveP50Ms:  quantile(0.50),
-		ObserveP99Ms:  quantile(0.99),
-		Fsyncs:        stats.Fsyncs,
-		MeanGroup:     stats.MeanGroup(),
-		MaxGroup:      stats.MaxGroup,
-	}, nil
-}
-
-// ObserveThroughput runs the full BENCH_9 comparison: store saturation
-// (the gated ratio) plus the end-to-end service arms. workers and
-// observePerBatch override the default load shape when > 0.
-func ObserveThroughput(quick bool, seed int64, workers, observePerBatch int) (ObserveResult, error) {
-	w, opb, dur := 64, 1, 5*time.Second
-	if quick {
-		w, dur = 16, time.Second
-	}
-	if workers > 0 {
-		w = workers
-	}
-	if observePerBatch > 0 {
-		opb = observePerBatch
-	}
-
-	store, err := StoreSaturation(w, dur)
-	if err != nil {
-		return ObserveResult{}, fmt.Errorf("store saturation: %w", err)
-	}
-
-	arm := ObserveArm{
-		Studies: w, Workers: w, ObservePerBatch: opb,
-		Duration: dur.String(),
-	}
-	base := arm
-	base.Name, base.GroupCommit = "observe-baseline", false
-	grp := arm
-	grp.Name, grp.GroupCommit = "observe-group", true
-
-	baseRes, err := observeServiceArm(base, seed)
-	if err != nil {
-		return ObserveResult{}, fmt.Errorf("baseline arm: %w", err)
-	}
-	grpRes, err := observeServiceArm(grp, seed)
-	if err != nil {
-		return ObserveResult{}, fmt.Errorf("group arm: %w", err)
-	}
-	res := ObserveResult{Store: store, Baseline: baseRes, Group: grpRes}
-	if baseRes.ObservePerSec > 0 {
-		res.ServiceRatio = grpRes.ObservePerSec / baseRes.ObservePerSec
 	}
 	return res, nil
 }

@@ -1,67 +1,22 @@
 package experiments
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"sort"
-	"sync"
-	"time"
 
 	"autotune/internal/server"
 )
 
-// service.go is the BENCH_7 load harness: it boots the real autotuned
-// server (real store, real fsync barriers) on a loopback listener, floods
-// it with concurrent studies over real HTTP+JSON, and measures sustained
-// suggest/observe throughput and suggest latency quantiles. The service
-// numbers the paper cares about — thousands of coexisting studies, a
-// six-figure suggest rate on one box — come from here.
+// service.go boots the real autotuned server (real store, real fsync
+// barriers) on a loopback listener for experiments that need a daemon in
+// the loop (DeepHistoryService). Service throughput and latency are not
+// measured from here — client and daemon would share a process — but by
+// the repo benchmark (benchmark/, BENCHMARK.json), which runs the daemon
+// as a subprocess.
 
-// ServiceArm describes one load shape.
-type ServiceArm struct {
-	Name    string `json:"name"`
-	Studies int    `json:"studies"`
-	Workers int    `json:"workers"`
-	// Batch is the suggest batch for the random-search fleet; BOBatch
-	// the (much smaller) batch for the model-guided studies, whose
-	// per-observation cost grows with history.
-	Batch   int `json:"batch"`
-	BOBatch int `json:"bo_batch"`
-	BOShare int `json:"bo_studies"` // model-guided studies mixed in
-	// ObservePerBatch is how many trials of each suggested batch the
-	// worker reports back (each report crossing the fsync barrier). Real
-	// clients evaluate trials much more slowly than the daemon suggests
-	// them, so observes trail suggests by design.
-	ObservePerBatch int `json:"observe_per_batch"`
-	// BOHistoryCap stops feeding a model-guided study once its history
-	// reaches this size, mirroring real BO budgets (a GP over unbounded
-	// history would dominate the run with O(n³) refits).
-	BOHistoryCap int    `json:"bo_history_cap"`
-	Duration     string `json:"duration"`
-}
-
-// ServiceResult is the measured outcome of one service load run.
-type ServiceResult struct {
-	Arm           ServiceArm `json:"arm"`
-	WallSeconds   float64    `json:"wall_seconds"`
-	CreateSeconds float64    `json:"create_seconds"` // study fan-in incl. per-create fsync
-	Suggests      int64      `json:"suggests"`
-	Observes      int64      `json:"observes"`
-	Shed          int64      `json:"shed_429"`
-	Errors        int64      `json:"errors"`
-	SuggestPerSec float64    `json:"suggest_per_sec"`
-	ObservePerSec float64    `json:"observe_per_sec"`
-	SuggestP50Ms  float64    `json:"suggest_p50_ms"`
-	SuggestP99Ms  float64    `json:"suggest_p99_ms"`
-	StoreRecords  int        `json:"store_records"`
-}
-
-// serviceSpec is the study shape used by the load generator: a small
-// mixed space, so wire payloads look like real tuning traffic.
+// serviceSpec is a small mixed space, so wire payloads look like real
+// tuning traffic.
 func serviceSpec(opt string, seed int64) server.StudySpec {
 	return server.StudySpec{
 		Optimizer: opt,
@@ -124,194 +79,4 @@ func (e *serviceEnv) Close() error {
 		err = rerr
 	}
 	return err
-}
-
-// ServiceThroughput runs the tuning-as-a-service load benchmark. Quick
-// mode shrinks the fleet and the measurement window for CI. boHistoryCap
-// overrides the per-study feed cap for the model-guided share; 0 keeps the
-// default, 1024 — deep enough that those studies climb the surrogate tier
-// ladder during the run instead of being frozen at dense-GP depth.
-// workers and observePerBatch override the arm's load shape when > 0
-// (the cmd/bench -serve-workers and -observe-per-batch flags).
-func ServiceThroughput(quick bool, seed int64, boHistoryCap, workers, observePerBatch int) (ServiceResult, error) {
-	arm := ServiceArm{
-		Name:            "serve-full",
-		Studies:         1024,
-		Workers:         8,
-		Batch:           256,
-		BOBatch:         8,
-		BOShare:         8,
-		ObservePerBatch: 8,
-		BOHistoryCap:    1024,
-		Duration:        "5s",
-	}
-	if quick {
-		arm = ServiceArm{
-			Name: "serve-quick", Studies: 128, Workers: 4,
-			Batch: 256, BOBatch: 8, BOShare: 2, ObservePerBatch: 16, BOHistoryCap: 1024, Duration: "1s",
-		}
-	}
-	if boHistoryCap > 0 {
-		arm.BOHistoryCap = boHistoryCap
-	}
-	if workers > 0 {
-		arm.Workers = workers
-	}
-	if observePerBatch > 0 {
-		arm.ObservePerBatch = observePerBatch
-	}
-	measure, err := time.ParseDuration(arm.Duration)
-	if err != nil {
-		return ServiceResult{}, err
-	}
-
-	env, err := startService(server.Options{AdmissionLimit: 2 * arm.Workers})
-	if err != nil {
-		return ServiceResult{}, err
-	}
-	defer env.Close()
-	srv, c := env.srv, env.client
-	//autolint:ignore ctxpass the load harness is a program edge: cmd/bench owns the process lifetime
-	ctx := context.Background()
-
-	// Fan in the fleet. Every create is an fsync barrier, so this phase
-	// is reported separately — it is the daemon's cold-start cost.
-	studies := make([]string, arm.Studies)
-	createStart := time.Now()
-	for i := range studies {
-		studies[i] = fmt.Sprintf("svc-%04d", i)
-		opt := "random"
-		if i < arm.BOShare {
-			opt = "bo"
-		}
-		if _, err := c.CreateStudy(ctx, studies[i], serviceSpec(opt, seed+int64(i))); err != nil {
-			return ServiceResult{}, fmt.Errorf("create %s: %w", studies[i], err)
-		}
-	}
-	createSeconds := time.Since(createStart).Seconds()
-
-	// Load phase: workers own disjoint study shards (real clients don't
-	// share studies either), each looping suggest-batch → observe-batch
-	// so every iteration crosses the durability barrier too.
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		lats      []time.Duration
-		suggests  int64
-		observes  int64
-		shed      int64
-		errs      int64
-		firstErr  error
-		deadline  = time.Now().Add(measure)
-		loadStart = time.Now()
-	)
-	for w := 0; w < arm.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("load worker %d panicked: %v", w, r)
-					}
-					errs++
-					mu.Unlock()
-				}
-				wg.Done()
-			}()
-			var myLats []time.Duration
-			var mySugg, myObs, myShed, myErrs int64
-			var myFirst error
-			boFed := map[int]int{} // observations fed per BO study shard
-			for i := w; time.Now().Before(deadline); i += arm.Workers {
-				idx := i % len(studies)
-				study := studies[idx]
-				batch := arm.Batch
-				if idx < arm.BOShare {
-					batch = arm.BOBatch
-				}
-				t0 := time.Now()
-				sugg, err := c.Suggest(ctx, study, batch)
-				myLats = append(myLats, time.Since(t0))
-				if err != nil {
-					var apiErr *server.APIError
-					if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests {
-						myShed++
-						continue
-					}
-					myErrs++
-					if myFirst == nil {
-						myFirst = err
-					}
-					continue
-				}
-				mySugg += int64(len(sugg))
-				report := sugg
-				if idx < arm.BOShare {
-					if arm.BOHistoryCap > 0 && boFed[idx] >= arm.BOHistoryCap {
-						continue
-					}
-					boFed[idx] += len(report)
-				} else if arm.ObservePerBatch > 0 && len(report) > arm.ObservePerBatch {
-					report = report[:arm.ObservePerBatch]
-				}
-				obs := make([]server.Observation, len(report))
-				for j, s := range report {
-					obs[j] = server.Observation{
-						Trial: s.Trial, Config: s.Config,
-						Value:       float64((s.Trial*2654435761)%1000) / 1000,
-						CostSeconds: 0.1,
-					}
-				}
-				res, err := c.Observe(ctx, study, obs...)
-				if err != nil {
-					myErrs++
-					if myFirst == nil {
-						myFirst = err
-					}
-					continue
-				}
-				myObs += int64(res.Acked)
-			}
-			mu.Lock()
-			lats = append(lats, myLats...)
-			suggests += mySugg
-			observes += myObs
-			shed += myShed
-			errs += myErrs
-			if firstErr == nil {
-				firstErr = myFirst
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(loadStart).Seconds()
-	if firstErr != nil {
-		return ServiceResult{}, fmt.Errorf("service load: %d request errors, first: %w", errs, firstErr)
-	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	quantile := func(q float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		idx := int(q * float64(len(lats)-1))
-		return float64(lats[idx]) / 1e6
-	}
-	return ServiceResult{
-		Arm:           arm,
-		WallSeconds:   wall,
-		CreateSeconds: createSeconds,
-		Suggests:      suggests,
-		Observes:      observes,
-		Shed:          shed,
-		Errors:        errs,
-		SuggestPerSec: float64(suggests) / wall,
-		ObservePerSec: float64(observes) / wall,
-		SuggestP50Ms:  quantile(0.50),
-		SuggestP99Ms:  quantile(0.99),
-		StoreRecords:  srv.StoreStats().Records,
-	}, nil
 }

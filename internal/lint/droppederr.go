@@ -22,8 +22,8 @@ var stdlibErrFuncs = map[string]bool{
 // error, and all-blank assignments (`_ = f()`, `_, _ = g()`) of such
 // calls. A deliberate discard stays, but annotated:
 //
-//	//autolint:ignore droppederr checkpoint is best-effort; run continues
-//	_ = saveCheckpoint(rep, path)
+//	//autolint:ignore droppederr already failing; the close error is secondary
+//	tmp.Close()
 //
 // Deferred calls (defer f.Close()) are exempt — the error has nowhere to
 // go without a named-result wrapper, and requiring one everywhere is

@@ -117,13 +117,15 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.m.deadlines.Add(1)
 		s.writeError(w, http.StatusGatewayTimeout, "deadline", err.Error())
-	case errors.Is(err, errReadOnlyStudy):
+	case errors.Is(err, trial.ErrReadOnly):
 		s.writeError(w, http.StatusConflict, "read_only", err.Error())
 	case errors.Is(err, errExhausted):
 		s.writeError(w, http.StatusConflict, "exhausted", "search space exhausted")
 	case errors.Is(err, sched.ErrPanic):
 		s.m.panics.Add(1)
-		s.writeError(w, http.StatusInternalServerError, "panic", "optimizer panicked; study degraded to read-only: "+firstLine(err))
+		// The first line is the panic value; the stack after it is for the log.
+		what, _, _ := strings.Cut(err.Error(), "\n")
+		s.writeError(w, http.StatusInternalServerError, "panic", "optimizer panicked; study degraded to read-only: "+what)
 	case errors.Is(err, studystore.ErrPoisoned):
 		s.failStore(err)
 		s.writeError(w, http.StatusServiceUnavailable, "store_failed", err.Error())
@@ -174,7 +176,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "capacity", "study limit reached")
 		return
 	}
-	ss, err := newSession(meta)
+	ss, err := newSession(meta, sh.store)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_spec", err.Error())
 		return
@@ -192,7 +194,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeSessionError(w, &storeFailure{err})
 		return
 	}
-	ss.st = sh.store
 	sh.mu.Lock()
 	sh.sessions[req.Study] = ss
 	sh.mu.Unlock()

@@ -80,10 +80,6 @@ type Options struct {
 	// one store shared by all shards (group commit coalesces their
 	// writes into shared fsyncs).
 	ShardStores bool
-	// DisableGroupCommit forces every observe batch to pay its own store
-	// fsync (the pre-group-commit write path). It exists as the
-	// benchmark baseline; leave it off in production.
-	DisableGroupCommit bool
 	// Log receives operational messages; nil means silent.
 	Log *log.Logger
 }
@@ -209,10 +205,7 @@ func New(opts Options) (*Server, error) {
 	if opts.StoreDir == "" {
 		return nil, errors.New("server: Options.StoreDir is required")
 	}
-	stOpts := studystore.Options{
-		SegmentBytes:       opts.SegmentBytes,
-		DisableGroupCommit: opts.DisableGroupCommit,
-	}
+	stOpts := studystore.Options{SegmentBytes: opts.SegmentBytes}
 	root, err := studystore.Open(opts.StoreDir, stOpts)
 	if err != nil {
 		return nil, fmt.Errorf("server: open store: %w", err)
@@ -272,10 +265,12 @@ func New(opts Options) (*Server, error) {
 				s.logf("study %q exists in multiple stores; first recovery wins", study)
 				continue
 			}
-			ss := recoverSession(study, st.Records(study))
-			ss.st = st
-			if ss.degraded != "" {
-				s.logf("study %q recovered read-only: %s", study, ss.degraded)
+			ss, err := recoverSession(study, st)
+			if err != nil {
+				s.logf("study %q replay: %v", study, err)
+			}
+			if why := ss.core.Degraded(); why != "" {
+				s.logf("study %q recovered read-only: %s", study, why)
 			}
 			sh.sessions[study] = ss
 			s.nstudies.Add(1)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/studystore"
+	"autotune/internal/trial"
 )
 
 // testSpec is a small mixed space exercising every parameter kind.
@@ -312,12 +314,70 @@ func (p panicOptimizer) Observe(space.Config, float64) error {
 func (p panicOptimizer) Best() (space.Config, float64, bool) { return nil, 0, false }
 func (p panicOptimizer) Name() string                        { return "panic" }
 
+// TestRecoveredSessionHoldsTypedConfigs: the store's decoder hands back
+// every number as float64; recovery must leave the session holding what a
+// live one holds — configs typed by the space (int64, bool, string) — in
+// its records and its incumbent alike.
+func TestRecoveredSessionHoldsTypedConfigs(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s1, err := New(Options{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := httptest.NewServer(s1)
+	c1 := NewClientHTTP(h1.URL, h1.Client())
+	mustCreate(t, c1, "typed", testSpec("random", 5))
+	observeSuggested(t, c1, "typed", 6)
+	want, err := s1.session("typed").trials(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBest, err := s1.session("typed").best(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := want[0].Config["cache_mb"].(int64); !ok {
+		t.Fatalf("live record holds cache_mb as %T, want int64", want[0].Config["cache_mb"])
+	}
+	h1.Close()
+	if err := s1.crashClose(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Options{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, err := s2.session("typed").trials(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered records differ from the live ones (types included):\n got %#v\nwant %#v", got[0].Config, want[0].Config)
+	}
+	gotBest, err := s2.session("typed").best(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotBest, wantBest) {
+		t.Fatalf("recovered incumbent %#v, live %#v", gotBest, wantBest)
+	}
+}
+
+// swapOptimizer plants a strategy in a live study: a fresh study core
+// around opt, journaling into the same store.
+func swapOptimizer(s *Server, study string, opt optimizer.Optimizer) {
+	s.session(study).core = trial.NewStudy(opt, storeSink{trial.NewStudyJournal(s.stores[0], study)})
+}
+
 func TestPanicIsolation(t *testing.T) {
 	s, c := newTestServer(t, Options{})
 	ctx := context.Background()
 	mustCreate(t, c, "bomb", testSpec("random", 7))
 	mustCreate(t, c, "healthy", testSpec("random", 8))
-	s.session("bomb").opt = panicOptimizer{onSuggest: true}
+	swapOptimizer(s, "bomb", panicOptimizer{onSuggest: true})
 
 	_, err := c.Suggest(ctx, "bomb", 1)
 	var apiErr *APIError
@@ -353,7 +413,7 @@ func TestObservePanicStaysAcked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.session("obomb").opt = panicOptimizer{onObserve: true}
+	swapOptimizer(s, "obomb", panicOptimizer{onObserve: true})
 
 	obs := []Observation{{Trial: sugg[0].Trial, Config: sugg[0].Config, Value: 1}}
 	_, err = c.Observe(ctx, "obomb", obs...)

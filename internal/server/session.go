@@ -11,30 +11,21 @@ import (
 	"sync/atomic"
 
 	"autotune/internal/core"
-	"autotune/internal/optimizer"
-	"autotune/internal/sched"
 	"autotune/internal/space"
 	"autotune/internal/studystore"
 	"autotune/internal/trial"
 )
 
-// session.go multiplexes one study's optimizer state behind a
-// context-aware lock. Every mutation follows the WAL contract: the
-// observation batch is durable in the study store before the optimizer
-// sees it or the client gets an ack, so a crash at any instant loses
-// nothing that was acknowledged. Optimizer calls run under sched.Guard —
-// a panicking strategy degrades its own study to read-only instead of
-// taking the process (and its sibling studies) down.
+// session.go puts one trial.Study behind a context-aware lock and the
+// wire. The study core owns the write-ahead order — append to the store,
+// then feed the optimizer, then ack (internal/trial/study.go) — along with
+// dedup, the history and the incumbent; what the daemon adds here is the
+// lock that respects request deadlines, coercion of wire configs into the
+// study's space, the mapping of a store failure onto "the whole server is
+// read-only", and lock-free mirrors of two counters for the listing.
 
-// Sentinel errors the handlers translate into HTTP statuses.
-var (
-	// errReadOnlyStudy marks a study that cannot accept suggests or
-	// observes: it was recovered without a meta record, or its optimizer
-	// panicked and was retired.
-	errReadOnlyStudy = errors.New("server: study is read-only")
-	// errExhausted mirrors optimizer.ErrExhausted at the session boundary.
-	errExhausted = errors.New("server: study exhausted")
-)
+// errExhausted mirrors optimizer.ErrExhausted at the session boundary.
+var errExhausted = errors.New("server: study exhausted")
 
 // storeFailure wraps an error from the study store so handlers can tell
 // "the durable layer failed" (degrade the whole server to read-only)
@@ -44,31 +35,37 @@ type storeFailure struct{ err error }
 func (e *storeFailure) Error() string { return "store failure: " + e.err.Error() }
 func (e *storeFailure) Unwrap() error { return e.err }
 
-// session is one study: its immutable descriptor plus the live optimizer
-// and dedup state, serialized by a capacity-1 channel lock so waiters
-// respect request deadlines (a sync.Mutex would block past them).
+// storeSink is a study's JournalSink in the daemon: trial.StudyJournal
+// with a failed append marked as the durable layer's.
+type storeSink struct{ *trial.StudyJournal }
+
+func (k storeSink) Append(batch []trial.TrialRecord) error {
+	if err := k.StudyJournal.Append(batch); err != nil {
+		return &storeFailure{err}
+	}
+	return nil
+}
+
+// session is one study: its immutable descriptor plus the live study
+// core, serialized by a capacity-1 channel lock so waiters respect request
+// deadlines (a sync.Mutex would block past them).
 type session struct {
 	study string
 	meta  studyMeta
 	sp    *space.Space // immutable after construction; nil for orphans
 
-	// st is the store this study's history lives in; every append goes
-	// here. Set once at create/recovery, immutable after — which is what
-	// lets histories survive shard-count changes (the hash may route the
-	// study to a different shard, but its log stays where it is).
-	st *studystore.Store
-
 	lk chan struct{} // capacity-1 token; lock(ctx)/unlock()
 
-	// Guarded by lk.
-	opt      optimizer.Optimizer // nil when read-only
-	degraded string              // why opt is nil (error text for clients)
-	seen     map[int64]struct{}  // acked trial IDs: the dedup set
-	records  []trial.TrialRecord // observed trials: recovered ones by ID, then ack order
-	nextID   int64               // next trial ID to hand out
+	// core is guarded by lk. Its sink appends to the store this study's
+	// history lives in, fixed at create/recovery — which is what lets
+	// histories survive shard-count changes (the hash may route the study
+	// to a different shard, but its log stays where it is). A read-only
+	// study (trial.ErrReadOnly) was recovered without a usable meta record
+	// or had its optimizer fail.
+	core *trial.Study
 
-	observed atomic.Int64 // len(records) mirror for lock-free listing
-	readOnly atomic.Bool  // opt == nil mirror for lock-free listing
+	observed atomic.Int64 // len(core.Records()) mirror for lock-free listing
+	readOnly atomic.Bool  // core.Degraded() != "" mirror for lock-free listing
 }
 
 // lock acquires the session, giving up when ctx expires.
@@ -81,10 +78,20 @@ func (ss *session) lock(ctx context.Context) error {
 	}
 }
 
-func (ss *session) unlock() { <-ss.lk }
+// unlock publishes the listing mirrors and releases the session.
+func (ss *session) unlock() {
+	ss.publish()
+	<-ss.lk
+}
 
-// newSession builds a live session from a validated meta descriptor.
-func newSession(meta studyMeta) (*session, error) {
+func (ss *session) publish() {
+	ss.observed.Store(int64(len(ss.core.Records())))
+	ss.readOnly.Store(ss.core.Degraded() != "")
+}
+
+// newSession builds a live session from a validated meta descriptor,
+// journaling into st.
+func newSession(meta studyMeta, st *studystore.Store) (*session, error) {
 	sp, err := buildSpace(meta.Space)
 	if err != nil {
 		return nil, err
@@ -98,44 +105,36 @@ func newSession(meta studyMeta) (*session, error) {
 		meta:  meta,
 		sp:    sp,
 		lk:    make(chan struct{}, 1),
-		opt:   opt,
-		seen:  make(map[int64]struct{}),
+		core:  trial.NewStudy(opt, storeSink{trial.NewStudyJournal(st, meta.Study)}),
 	}, nil
 }
 
 // orphanSession wraps a study that exists in the store but has no usable
 // meta record (e.g. a log produced by another tool). Its history stays
 // queryable; suggest and observe report read-only.
-func orphanSession(study, why string, recs []trial.TrialRecord) *session {
+func orphanSession(study, why string) *session {
 	ss := &session{
-		study:    study,
-		meta:     studyMeta{Study: study},
-		lk:       make(chan struct{}, 1),
-		degraded: why,
-		seen:     make(map[int64]struct{}),
-		records:  recs,
+		study: study,
+		meta:  studyMeta{Study: study},
+		lk:    make(chan struct{}, 1),
+		core:  trial.NewStudy(nil, nil),
 	}
-	for _, r := range recs {
-		ss.seen[int64(r.ID)] = struct{}{}
-		if int64(r.ID) >= ss.nextID {
-			ss.nextID = int64(r.ID) + 1
-		}
-	}
-	ss.observed.Store(int64(len(recs)))
-	ss.readOnly.Store(true)
+	ss.core.Retire(why)
 	return ss
 }
 
-// recoverSession rebuilds a session from its durable records: decode the
-// meta descriptor, re-seed a fresh optimizer, and replay observations in
-// ID order. The resumed suggest stream is a pure function of (seed,
+// recoverSession rebuilds a session from its durable records in st: decode
+// the meta descriptor, re-seed a fresh optimizer, and replay observations
+// in ID order. The resumed suggest stream is a pure function of (seed,
 // replayed history), so two recoveries of the same log are bitwise
-// identical. Records that fail to decode or a strategy that panics on
-// replay degrade the study to read-only rather than failing the boot.
-func recoverSession(study string, recs []studystore.Record) *session {
+// identical. Records that fail to decode or normalize, or a strategy that
+// fails on replay (the returned error, stack included), leave the study
+// read-only rather than failing the boot.
+func recoverSession(study string, st *studystore.Store) (*session, error) {
 	var meta *studyMeta
 	var hist []trial.TrialRecord
-	for _, r := range recs {
+	orphan := ""
+	for _, r := range st.Records(study) {
 		if r.ID == metaID {
 			var m studyMeta
 			if err := json.Unmarshal(r.Payload, &m); err == nil && m.Meta >= 1 {
@@ -145,138 +144,87 @@ func recoverSession(study string, recs []studystore.Record) *session {
 		}
 		tr, err := trial.DecodeRecord(r.Payload)
 		if err != nil {
-			return orphanSession(study, fmt.Sprintf("record %d undecodable: %v", r.ID, err), hist)
+			orphan = fmt.Sprintf("record %d undecodable: %v", r.ID, err)
+			break
 		}
 		tr.ID = int(r.ID) // the store key is authoritative
 		hist = append(hist, tr)
 	}
-	if meta == nil {
-		return orphanSession(study, "no meta record (log written by another tool?)", hist)
+	if orphan == "" && meta == nil {
+		orphan = "no meta record (log written by another tool?)"
 	}
-	ss, err := newSession(*meta)
-	if err != nil {
-		return orphanSession(study, fmt.Sprintf("meta rejected: %v", err), hist)
+	var ss *session
+	if orphan == "" {
+		var err error
+		if ss, err = newSession(*meta, st); err != nil {
+			orphan = fmt.Sprintf("meta rejected: %v", err)
+		}
 	}
-	for _, tr := range hist {
-		cfg, err := normalizeConfig(ss.sp, tr.Config)
+	if orphan != "" {
+		ss = orphanSession(study, orphan)
+	}
+	// Records hold configs typed by the space, exactly as a live session's
+	// do. One that will not normalize retires the optimizer: what it had
+	// observed by then no longer matters, so nothing is fed to it at all.
+	for i := 0; i < len(hist) && ss.sp != nil; i++ {
+		cfg, err := normalizeConfig(ss.sp, hist[i].Config)
 		if err != nil {
-			ss.retire(fmt.Sprintf("replay trial %d: %v", tr.ID, err))
+			ss.core.Retire(fmt.Sprintf("replay trial %d: %v", hist[i].ID, err))
 			break
 		}
-		tr.Config = cfg
-		if gerr := sched.Guard(func() error { return ss.opt.Observe(cfg, tr.Value) }); gerr != nil {
-			ss.retire(fmt.Sprintf("replay trial %d: %v", tr.ID, gerr))
-			break
-		}
+		hist[i].Config = cfg
 	}
-	for _, tr := range hist {
-		ss.seen[int64(tr.ID)] = struct{}{}
-		if int64(tr.ID) >= ss.nextID {
-			ss.nextID = int64(tr.ID) + 1
-		}
-	}
-	ss.records = hist
-	ss.observed.Store(int64(len(hist)))
-	return ss
+	err := ss.core.Replay(hist)
+	ss.publish()
+	return ss, err
 }
 
-// retire drops the optimizer and leaves the study read-only. Callers
-// hold lk (or, during recovery, exclusive ownership).
-func (ss *session) retire(why string) {
-	ss.opt = nil
-	ss.degraded = why
-	ss.readOnly.Store(true)
-}
-
-// writable reports errReadOnlyStudy with the degrade reason attached.
-func (ss *session) writable() error {
-	if ss.opt == nil {
-		return fmt.Errorf("%w: %s", errReadOnlyStudy, ss.degraded)
-	}
-	return nil
-}
-
-// suggest proposes up to n configurations and assigns provisional trial
-// IDs. IDs become durable only when observed; after a crash, unobserved
-// IDs are reassigned (observes carry the config, so acks never depend on
+// suggest proposes up to n configurations under provisional trial IDs.
+// IDs become durable only when observed; after a crash, unobserved IDs
+// are reassigned (observes carry the config, so acks never depend on
 // server-side suggest state).
 func (ss *session) suggest(ctx context.Context, n int) ([]SuggestedTrial, bool, error) {
 	if err := ss.lock(ctx); err != nil {
 		return nil, false, err
 	}
 	defer ss.unlock()
-	if err := ss.writable(); err != nil {
+	first, cfgs, exhausted, err := ss.core.Suggest(n)
+	if err != nil {
 		return nil, false, err
-	}
-	var cfgs []space.Config
-	var serr error
-	gerr := sched.Guard(func() error {
-		if bs, ok := ss.opt.(optimizer.BatchSuggester); ok && n > 1 {
-			cfgs, serr = bs.SuggestN(n)
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			cfg, err := ss.opt.Suggest()
-			if err != nil {
-				serr = err
-				return nil
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		return nil
-	})
-	if gerr != nil {
-		ss.retire(fmt.Sprintf("suggest panicked: %v", firstLine(gerr)))
-		return nil, false, gerr
-	}
-	exhausted := errors.Is(serr, optimizer.ErrExhausted)
-	if serr != nil && !exhausted {
-		return nil, false, serr
 	}
 	if len(cfgs) == 0 {
 		return nil, true, errExhausted
 	}
 	out := make([]SuggestedTrial, len(cfgs))
 	for i, cfg := range cfgs {
-		out[i] = SuggestedTrial{Trial: ss.nextID, Config: cfg}
-		ss.nextID++
+		out[i] = SuggestedTrial{Trial: int64(first + i), Config: cfg}
 	}
 	return out, exhausted, nil
 }
 
-// observe applies a batch exactly once: new (study, trial) pairs are made
-// durable under one fsync barrier, then fed to the optimizer, then acked.
-// Pairs already acked — by an earlier request or earlier in this batch —
-// count as duplicates and change nothing, which is what makes client
-// retries safe. A store failure is returned before any state changes; an
-// optimizer panic after the barrier retires the study but the batch stays
-// acked (it is durable, and replay will surface the same panic).
+// observe validates a batch and tells the study core, which applies it
+// exactly once: new (study, trial) pairs durable under one fsync barrier,
+// then fed to the optimizer, then acked; pairs already acked are
+// duplicates and change nothing, which is what makes client retries safe.
+// A store failure comes back as a storeFailure with no state changed; an
+// optimizer panic after the barrier retires the study with the batch
+// still acked. A duplicate is dropped by the core unread, so a retry is
+// never rejected for its payload.
 func (ss *session) observe(ctx context.Context, obs []Observation) (acked, dups int, err error) {
 	if err := ss.lock(ctx); err != nil {
 		return 0, 0, err
 	}
 	defer ss.unlock()
-	if err := ss.writable(); err != nil {
-		return 0, 0, err
+	if why := ss.core.Degraded(); why != "" {
+		return 0, 0, fmt.Errorf("%w: %s", trial.ErrReadOnly, why)
 	}
-
-	type pending struct {
-		tr  trial.TrialRecord
-		cfg space.Config
-	}
-	var fresh []pending
-	var recs []studystore.Record
-	batchSeen := make(map[int64]struct{}, len(obs))
-	for _, o := range obs {
+	batch := make([]trial.TrialRecord, len(obs))
+	for i, o := range obs {
 		if o.Trial < 0 {
 			return 0, 0, fmt.Errorf("trial ID %d is negative", o.Trial)
 		}
-		if _, dup := ss.seen[o.Trial]; dup {
-			dups++
-			continue
-		}
-		if _, dup := batchSeen[o.Trial]; dup {
-			dups++
+		batch[i] = trial.TrialRecord{ID: int(o.Trial)}
+		if ss.core.Acked(int(o.Trial)) {
 			continue
 		}
 		cfg, err := normalizeConfig(ss.sp, o.Config)
@@ -286,51 +234,15 @@ func (ss *session) observe(ctx context.Context, obs []Observation) (acked, dups 
 		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
 			return 0, 0, fmt.Errorf("trial %d: value must be finite", o.Trial)
 		}
-		batchSeen[o.Trial] = struct{}{}
-		tr := trial.TrialRecord{
+		batch[i] = trial.TrialRecord{
 			ID:          int(o.Trial),
 			Config:      cfg,
 			Value:       o.Value,
 			CostSeconds: o.CostSeconds,
 			Metrics:     o.Metrics,
 		}
-		payload, err := trial.EncodeRecord(tr)
-		if err != nil {
-			return 0, 0, err
-		}
-		fresh = append(fresh, pending{tr: tr, cfg: cfg})
-		recs = append(recs, studystore.Record{Study: ss.study, ID: o.Trial, Payload: payload})
 	}
-	if len(fresh) == 0 {
-		return 0, dups, nil
-	}
-
-	// Durability barrier: nothing below runs unless the whole batch is
-	// fsynced. On failure the store is poisoned and no pair was acked.
-	if err := ss.st.AppendBatch(recs); err != nil {
-		return 0, dups, &storeFailure{err}
-	}
-
-	var degrade error
-	for _, p := range fresh {
-		if degrade == nil {
-			p := p
-			if gerr := sched.Guard(func() error { return ss.opt.Observe(p.cfg, p.tr.Value) }); gerr != nil {
-				degrade = gerr
-				ss.retire(fmt.Sprintf("observe panicked: %v", firstLine(gerr)))
-			}
-		}
-		// Durable regardless of the optimizer's opinion: ack and dedup.
-		id := int64(p.tr.ID)
-		ss.seen[id] = struct{}{}
-		ss.records = append(ss.records, p.tr)
-		if id >= ss.nextID {
-			ss.nextID = id + 1
-		}
-		acked++
-	}
-	ss.observed.Store(int64(len(ss.records)))
-	return acked, dups, degrade
+	return ss.core.Observe(batch)
 }
 
 // best returns the incumbent from the durable history (crashed trials
@@ -340,17 +252,12 @@ func (ss *session) best(ctx context.Context) (BestResult, error) {
 		return BestResult{}, err
 	}
 	defer ss.unlock()
-	res := BestResult{Study: ss.study, Observed: len(ss.records)}
-	for _, tr := range ss.records {
-		if tr.Crashed {
-			continue
-		}
-		if !res.Found || tr.Value < res.Value {
-			res.Found = true
-			res.Trial = int64(tr.ID)
-			res.Value = tr.Value
-			res.Config = tr.Config
-		}
+	res := BestResult{Study: ss.study, Observed: len(ss.core.Records())}
+	if tr, ok := ss.core.Best(); ok {
+		res.Found = true
+		res.Trial = int64(tr.ID)
+		res.Value = tr.Value
+		res.Config = tr.Config
 	}
 	return res, nil
 }
@@ -365,7 +272,7 @@ func (ss *session) pareto(ctx context.Context, objectives []string) (ParetoResul
 	defer ss.unlock()
 	res := ParetoResult{Study: ss.study, Objectives: objectives}
 	var pts []ParetoPoint
-	for _, tr := range ss.records {
+	for _, tr := range ss.core.Records() {
 		if tr.Crashed {
 			continue
 		}
@@ -429,7 +336,7 @@ func (ss *session) trials(ctx context.Context) ([]trial.TrialRecord, error) {
 		return nil, err
 	}
 	defer ss.unlock()
-	return append([]trial.TrialRecord(nil), ss.records...), nil
+	return append([]trial.TrialRecord(nil), ss.core.Records()...), nil
 }
 
 // info is the lock-free listing row (trial count and read-only flag are
@@ -441,16 +348,4 @@ func (ss *session) info() StudyInfo {
 		Trials:    int(ss.observed.Load()),
 		ReadOnly:  ss.readOnly.Load(),
 	}
-}
-
-// firstLine trims a guard error (panic value + full stack) to its first
-// line for client-facing degrade reasons; the full text goes to the log.
-func firstLine(err error) string {
-	s := err.Error()
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

@@ -115,7 +115,7 @@ func TestEncodeFailureIs500(t *testing.T) {
 	s, c := newTestServer(t, Options{})
 	ctx := context.Background()
 	mustCreate(t, c, "nan", testSpec("random", 7))
-	s.session("nan").opt = nanOptimizer{}
+	swapOptimizer(s, "nan", nanOptimizer{})
 	_, err := c.Suggest(ctx, "nan", 1)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || apiErr.Code != "encode_failed" {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 )
 
 // EncodeRecord returns rec's durable bytes: the JSON payload every
@@ -36,10 +37,11 @@ func DecodeRecord(data []byte) (TrialRecord, error) {
 // encoding/json's reflection cost (several microseconds per record, which
 // dominates store replay on small machines). It is strictly conservative:
 // on anything outside the expected shape — unknown keys, escaped strings,
-// nulls, nested structures — it reports !ok and the caller falls back to
-// encoding/json, so behavior (including error text for malformed input)
-// is unchanged. When it does report ok, the result is identical to what
-// encoding/json would have produced.
+// invalid UTF-8, nulls, nested structures, a repeated config or metrics
+// key, a number strconv takes but JSON does not — it reports !ok and the
+// caller falls back to encoding/json, so behavior (including error text
+// for malformed input) is unchanged. When it does report ok, the result is
+// identical to what encoding/json would have produced (FuzzDecodeRecord).
 func decodeTrialRecord(data []byte, rec *TrialRecord) (ok bool) {
 	p := recParser{buf: data}
 	p.ws()
@@ -63,15 +65,22 @@ func decodeTrialRecord(data []byte, rec *TrialRecord) (ok bool) {
 		p.ws()
 		switch key {
 		case "id":
-			f, ok := p.num()
-			if !ok || f != float64(int(f)) {
+			start := p.pos
+			if ok, integer := p.numLit(); !ok || !integer {
 				return false
 			}
-			rec.ID = int(f)
+			id, err := strconv.Atoi(string(p.buf[start:p.pos]))
+			if err != nil {
+				return false
+			}
+			rec.ID = id
 		case "config":
 			if p.null() {
 				rec.Config = nil // json.Marshal of a nil Config
 				break
+			}
+			if rec.Config != nil {
+				return false // a repeated key: encoding/json merges the maps
 			}
 			cfg, ok := p.config()
 			if !ok {
@@ -114,6 +123,9 @@ func decodeTrialRecord(data []byte, rec *TrialRecord) (ok bool) {
 			if p.null() {
 				rec.Metrics = nil
 				break
+			}
+			if rec.Metrics != nil {
+				return false // repeated, as for config
 			}
 			m, ok := p.metrics()
 			if !ok {
@@ -162,44 +174,73 @@ func (p *recParser) eat(c byte) bool {
 }
 
 // str parses a string literal with no escapes; a backslash anywhere
-// triggers the encoding/json fallback rather than escape handling here.
+// triggers the encoding/json fallback rather than escape handling here, and
+// so does invalid UTF-8, which encoding/json replaces with U+FFFD.
 func (p *recParser) str() (string, bool) {
 	if !p.eat('"') {
 		return "", false
 	}
 	start := p.pos
+	ascii := true
 	for p.pos < len(p.buf) {
-		switch p.buf[p.pos] {
-		case '"':
-			s := string(p.buf[start:p.pos])
+		switch c := p.buf[p.pos]; {
+		case c == '"':
+			raw := p.buf[start:p.pos]
 			p.pos++
-			return s, true
-		case '\\':
+			return string(raw), ascii || utf8.Valid(raw)
+		case c == '\\':
+			return "", false
+		case c < 0x20:
+			// Raw control characters are invalid JSON; let
+			// encoding/json reject them so corruption still errors.
 			return "", false
 		default:
-			if p.buf[p.pos] < 0x20 {
-				// Raw control characters are invalid JSON; let
-				// encoding/json reject them so corruption still errors.
-				return "", false
-			}
+			ascii = ascii && c < utf8.RuneSelf
 			p.pos++
 		}
 	}
 	return "", false
 }
 
-func (p *recParser) num() (float64, bool) {
+// digits consumes a run of decimal digits and reports whether there was one.
+func (p *recParser) digits() bool {
 	start := p.pos
-	for p.pos < len(p.buf) {
-		switch c := p.buf[p.pos]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			p.pos++
-		default:
-			goto done
+	for p.pos < len(p.buf) && p.buf[p.pos] >= '0' && p.buf[p.pos] <= '9' {
+		p.pos++
+	}
+	return p.pos > start
+}
+
+// numLit consumes a number in JSON's grammar — stricter than strconv, which
+// also takes "+1", ".5", "1." and "01" — and reports whether it is an
+// integer literal, the only form encoding/json puts in an int field.
+func (p *recParser) numLit() (ok, integer bool) {
+	p.eat('-')
+	if !p.eat('0') && !p.digits() {
+		return false, false
+	}
+	integer = true
+	if p.eat('.') {
+		integer = false
+		if !p.digits() {
+			return false, false
 		}
 	}
-done:
-	if p.pos == start {
+	if p.eat('e') || p.eat('E') {
+		integer = false
+		if !p.eat('+') {
+			p.eat('-')
+		}
+		if !p.digits() {
+			return false, false
+		}
+	}
+	return true, integer
+}
+
+func (p *recParser) num() (float64, bool) {
+	start := p.pos
+	if ok, _ := p.numLit(); !ok {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(string(p.buf[start:p.pos]), 64)

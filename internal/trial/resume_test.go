@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,8 +52,7 @@ func (e *countingEnv) Run(ctx context.Context, cfg space.Config, fid float64) (R
 
 func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 	env := newCountingEnv()
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
-	opts := Options{Budget: 25, Checkpoint: ckpt}
+	opts := Options{Budget: 25, Store: t.TempDir()}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(1)))
 	rep, err := Run(o1, env, opts)
 	if err != nil {
@@ -62,8 +62,8 @@ func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 	if ran != 25 {
 		t.Fatalf("env ran %d times, want 25", ran)
 	}
-	// Resume with a fresh optimizer: the checkpoint covers the full
-	// budget, so the environment must not be touched.
+	// Resume with a fresh optimizer: the store covers the full budget, so
+	// the environment must not be touched.
 	o2 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(99)))
 	rep2, err := Resume(o2, env, opts)
 	if err != nil {
@@ -90,8 +90,8 @@ func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 	env := newCountingEnv()
 	env.failEvery = 5
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
-	opts := Options{Budget: 30, Checkpoint: ckpt, CheckpointEvery: 1}
+	store := t.TempDir()
+	opts := Options{Budget: 30, Store: store}
 
 	// "Kill" the process after 12 trials by cancelling the context.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,13 +106,13 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled run should report the context error")
 	}
-	partial, err := LoadReport(ckpt)
+	partial, err := ReadStudyJournal(store, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := len(partial.Trials)
+	done := len(partial)
 	if done == 0 || done >= 30 {
-		t.Fatalf("checkpoint has %d trials, want partial progress", done)
+		t.Fatalf("store has %d trials, want partial progress", done)
 	}
 
 	// Resume with a fresh optimizer and finish the budget.
@@ -138,13 +138,16 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 			t.Fatalf("trial %d has id %d", i, tr.ID)
 		}
 	}
-	// The final checkpoint matches the completed report.
-	final, err := LoadReport(ckpt)
+	// The final store matches the completed report.
+	final, err := ReadStudyJournal(store, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(final.Trials) != 30 || final.BestValue != rep.BestValue {
-		t.Fatalf("final checkpoint diverges: %d trials best %v", len(final.Trials), final.BestValue)
+	if !reflect.DeepEqual(final, rep.Trials) {
+		t.Fatalf("final store diverges from the report: %d trials vs %d", len(final), len(rep.Trials))
+	}
+	if best := (Report{Trials: final}).BestOverTime(); best[len(best)-1] != rep.BestValue {
+		t.Fatalf("final store's best %v, report's %v", best[len(best)-1], rep.BestValue)
 	}
 }
 
@@ -166,8 +169,8 @@ func TestSaveIsAtomicAndLeavesNoTemp(t *testing.T) {
 			t.Fatalf("stale temp file %s", e.Name())
 		}
 	}
-	if _, err := LoadReport(path); err != nil {
-		t.Fatal(err)
+	if got := readReport(t, path); len(got.Trials) != 1 {
+		t.Fatalf("saved report reads back %d trials, want 1", len(got.Trials))
 	}
 	if err := rep.Save(filepath.Join(dir, "missing", "report.json")); err == nil {
 		t.Fatal("saving into a missing directory should error")
@@ -276,9 +279,17 @@ func TestResumeRequiresCheckpoint(t *testing.T) {
 	env := newCountingEnv()
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(7)))
 	if _, err := Resume(o, env, Options{Budget: 5}); err == nil {
-		t.Fatal("resume without a checkpoint path should error")
+		t.Fatal("resume without a store directory should error")
 	}
-	if _, err := Resume(o, env, Options{Budget: 5, Checkpoint: filepath.Join(t.TempDir(), "nope.json")}); err == nil {
-		t.Fatal("resume from a missing checkpoint should error")
+	// A path that cannot be a store directory: resume must not start over.
+	notDir := filepath.Join(t.TempDir(), "nope.json")
+	if err := os.WriteFile(notDir, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(o, env, Options{Budget: 5, Store: notDir}); err == nil {
+		t.Fatal("resume from a store that cannot be opened should error")
+	}
+	if env.runs.Load() != 0 {
+		t.Fatalf("failed resumes ran the environment %d times", env.runs.Load())
 	}
 }

@@ -15,12 +15,13 @@ import (
 // skipped.
 var ErrJournalCorrupt = errors.New("trial: corrupt interior journal record")
 
-// JournalSink receives every completed trial before the optimizer
-// observes it — the write-ahead contract. Implementations must make the
-// record durable before returning nil. StudyJournal is the one shipped
-// implementation; tests may substitute their own.
+// JournalSink receives every batch of completed trials before the
+// optimizer observes it — the write-ahead contract (see Study).
+// Implementations must make the whole batch durable before returning nil.
+// StudyJournal is the one shipped implementation; tests may substitute
+// their own.
 type JournalSink interface {
-	Append(rec TrialRecord) error
+	Append(batch []TrialRecord) error
 	Close() error
 }
 
@@ -29,6 +30,8 @@ type JournalSink interface {
 // is CRC-framed and fsync'd before it returns, segments rotate and
 // compact underneath, and recovery quarantines corruption instead of
 // silently skipping it. Multiple studies share one store directory.
+// Close closes the store, so a journal over a store somebody else owns
+// (NewStudyJournal) is simply never closed.
 type StudyJournal struct {
 	store *studystore.Store
 	study string
@@ -46,16 +49,27 @@ func OpenStudyJournal(dir, study string) (*StudyJournal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StudyJournal{store: st, study: study}, nil
+	return NewStudyJournal(st, study), nil
 }
 
-// Append implements JournalSink: the record is durable when it returns.
-func (sj *StudyJournal) Append(rec TrialRecord) error {
-	data, err := EncodeRecord(rec)
-	if err != nil {
-		return err
+// NewStudyJournal returns a sink journaling trials into the named study of
+// an already open store.
+func NewStudyJournal(st *studystore.Store, study string) *StudyJournal {
+	return &StudyJournal{store: st, study: study}
+}
+
+// Append implements JournalSink: the batch is durable, under one fsync
+// barrier, when it returns.
+func (sj *StudyJournal) Append(batch []TrialRecord) error {
+	recs := make([]studystore.Record, len(batch))
+	for i := range batch {
+		data, err := EncodeRecord(batch[i])
+		if err != nil {
+			return err
+		}
+		recs[i] = studystore.Record{Study: sj.study, ID: int64(batch[i].ID), Payload: data}
 	}
-	return sj.store.Append(studystore.Record{Study: sj.study, ID: int64(rec.ID), Payload: data})
+	return sj.store.AppendBatch(recs)
 }
 
 // Close closes the underlying store.

@@ -96,7 +96,7 @@ func TestReadStudyJournalUndecodablePayloadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sj.Append(TrialRecord{ID: 0, Config: space.Config{"x": 0.1}, Value: 1}); err != nil {
+	if err := sj.Append([]TrialRecord{{ID: 0, Config: space.Config{"x": 0.1}, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	bad := studystore.Record{Study: "a", ID: 1, Payload: []byte(`{"id":1,"value":0.`)}
@@ -114,8 +114,8 @@ func TestReadStudyJournalUndecodablePayloadErrors(t *testing.T) {
 // collectSink records appends in memory — a custom JournalSink.
 type collectSink struct{ recs []TrialRecord }
 
-func (c *collectSink) Append(rec TrialRecord) error {
-	c.recs = append(c.recs, rec)
+func (c *collectSink) Append(batch []TrialRecord) error {
+	c.recs = append(c.recs, batch...)
 	return nil
 }
 func (c *collectSink) Close() error { return nil }
@@ -154,7 +154,7 @@ func TestSaveCrashWindowsReaderNeverTorn(t *testing.T) {
 	cases := []struct {
 		name       string
 		setup      func(t *testing.T, dir, path string)
-		wantTrials int // -1 means LoadReport must fail with not-exist
+		wantTrials int // -1 means the read must fail with not-exist
 	}{
 		{
 			name:       "kill before temp write",
@@ -198,21 +198,39 @@ func TestSaveCrashWindowsReaderNeverTorn(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "report.json")
 			tc.setup(t, dir, path)
-			rep, err := LoadReport(path)
+			data, err := os.ReadFile(path)
 			if tc.wantTrials < 0 {
 				if !errors.Is(err, os.ErrNotExist) {
-					t.Fatalf("LoadReport = %v, want a clean not-exist error (never a torn parse)", err)
+					t.Fatalf("read = %v, want a clean not-exist error (never a torn parse)", err)
 				}
 				return
 			}
+			var rep Report
+			if err == nil {
+				err = json.Unmarshal(data, &rep)
+			}
 			if err != nil {
-				t.Fatalf("LoadReport failed in a recoverable crash state: %v", err)
+				t.Fatalf("report unreadable in a recoverable crash state: %v", err)
 			}
 			if len(rep.Trials) != tc.wantTrials {
 				t.Fatalf("loaded %d trials, want %d (a complete old or new report)", len(rep.Trials), tc.wantTrials)
 			}
 		})
 	}
+}
+
+// readReport reads a report written by Save.
+func readReport(t *testing.T, path string) Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	return r
 }
 
 func mustSave(t *testing.T, r Report, path string) {

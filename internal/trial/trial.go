@@ -6,11 +6,13 @@
 //
 // Trials are cancellable and deadline-bounded: Environment.Run takes a
 // context.Context, RunContext aborts cleanly between batches when the
-// context is cancelled, and Options.Checkpoint persists progress
-// atomically so Resume can replay a killed session into a fresh optimizer
-// without re-running completed trials. Fault-hardening wrappers (retry
-// with backoff, per-trial deadlines, quarantine) live in
-// internal/resilience.
+// context is cancelled, and Options.Store journals every completed trial
+// before the optimizer observes it so Resume can replay a killed session
+// into a fresh optimizer without re-running completed trials. The loop
+// here is a driver — ask, evaluate, impute the crash penalty, tell —
+// around the ask/tell core in study.go, which the tuning daemon drives
+// over HTTP instead. Fault-hardening wrappers (retry with backoff,
+// per-trial deadlines, quarantine) live in internal/resilience.
 package trial
 
 import (
@@ -220,12 +222,6 @@ type Options struct {
 	// finite value so far (default 2). The penalty keeps optimizers away
 	// from the cliff without poisoning surrogates with infinities.
 	CrashPenaltyFactor float64
-	// Checkpoint, when non-empty, persists the in-progress Report to this
-	// path (atomic write) so a killed run can continue via Resume.
-	Checkpoint string
-	// CheckpointEvery is how many completed trials between checkpoint
-	// writes (default: after every batch).
-	CheckpointEvery int
 	// DegradeAfterTimeouts, when > 0, halves the working fidelity after
 	// this many consecutive timed-out trials (graceful degradation when
 	// the environment is persistently too slow for its deadline).
@@ -348,7 +344,7 @@ type Report struct {
 	// fidelity halvings triggered by consecutive timeouts.
 	Timeouts     int `json:"timeouts,omitempty"`
 	Degradations int `json:"degradations,omitempty"`
-	// Resumed counts trials restored from a checkpoint rather than run.
+	// Resumed counts trials replayed from the study store rather than run.
 	Resumed int `json:"resumed,omitempty"`
 	// Hedges counts duplicate attempts launched by the scheduler;
 	// HedgeWins counts trials where the duplicate finished first.
@@ -369,29 +365,26 @@ func Run(o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the loop
-// stops at the next batch boundary (the in-flight batch is discarded),
-// writes a final checkpoint if one is configured, and returns the partial
-// report together with the context's error.
+// stops at the next batch boundary (the in-flight batch is discarded) and
+// returns the partial report together with the context's error. Every
+// trial in that report is already in the study store, if one is set.
 func RunContext(ctx context.Context, o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return Report{}, err
 	}
-	var rep Report
-	rep.BestValue = math.Inf(1)
-	return finishRun(runLoop(ctx, o, env, opts, &rep, math.Inf(-1)))
+	return drive(ctx, o, env, opts, nil)
 }
 
-// Resume continues a tuning session from the checkpoint at
-// opts.Checkpoint and/or the write-ahead journal in the segmented study
-// store at opts.Store: the recorded trials are replayed into the
-// optimizer (Observe only — the environment is not re-run), counters
-// and the incumbent are restored, and the loop continues until the
-// budget is reached. The journal is the finer-grained source: it holds
-// trials from a batch that was killed before its checkpoint was written,
-// so a mid-batch kill loses zero finished trials and re-runs none of
-// them. A history that already covers the budget returns immediately
-// without touching the environment.
+// Resume continues a tuning session from the write-ahead journal in the
+// segmented study store at opts.Store: the recorded trials are replayed
+// into the optimizer (Observe only — the environment is not re-run), the
+// report's counters and the incumbent are derived from them, and the loop
+// continues until the budget is reached. The journal holds every trial
+// that finished, including those of a batch that was killed half way, so
+// a mid-batch kill loses zero finished trials and re-runs none of them. A
+// history that already covers the budget returns immediately without
+// touching the environment.
 func Resume(o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
 	//autolint:ignore ctxpass public context-free convenience wrapper over ResumeContext
 	return ResumeContext(context.Background(), o, env, opts)
@@ -403,126 +396,111 @@ func ResumeContext(ctx context.Context, o optimizer.Optimizer, env Environment, 
 	if err != nil {
 		return Report{}, err
 	}
-	if opts.Checkpoint == "" && opts.Store == "" {
-		return Report{}, errors.New("trial: resume needs Options.Checkpoint or Options.Store")
+	if opts.Store == "" {
+		return Report{}, errors.New("trial: resume needs Options.Store")
 	}
-	var rep Report
-	if opts.Checkpoint != "" {
-		rep, err = LoadReport(opts.Checkpoint)
-		if err != nil {
-			return Report{}, fmt.Errorf("trial: resume: %w", err)
-		}
+	history, err := ReadStudyJournal(opts.Store, opts.Study)
+	if err != nil {
+		return Report{}, fmt.Errorf("trial: resume: %w", err)
 	}
-	if opts.Store != "" {
-		recs, err := ReadStudyJournal(opts.Store, opts.Study)
-		if err != nil {
-			return Report{}, fmt.Errorf("trial: resume: %w", err)
-		}
-		mergeJournal(&rep, recs)
-	}
-	// Rebuild derived state from the trial log rather than trusting the
-	// stored summary: the incumbent, the worst finite value (crash
-	// penalty scale), and the optimizer's observation history.
-	rep.BestValue = math.Inf(1)
-	rep.BestConfig = nil
-	worstFinite := math.Inf(-1)
-	for _, tr := range rep.Trials {
-		if !tr.Crashed {
-			if tr.Value < rep.BestValue {
-				rep.BestValue = tr.Value
-				rep.BestConfig = tr.Config.Clone()
-			}
-			if tr.Value > worstFinite {
-				worstFinite = tr.Value
-			}
-		}
-		if err := o.Observe(tr.Config, tr.Value); err != nil {
-			return rep, fmt.Errorf("trial: resume replay %d: %w", tr.ID, err)
-		}
-	}
-	rep.Resumed = len(rep.Trials)
-	if len(rep.Trials) >= opts.Budget {
-		return finishRun(&rep, nil)
-	}
-	return finishRun(runLoop(ctx, o, env, opts, &rep, worstFinite))
+	return drive(ctx, o, env, opts, history)
 }
 
-// mergeJournal folds journal records the checkpoint does not cover into
-// the report. Records are already ID-deduplicated by the store;
-// duplicates against the checkpoint are dropped here, so the merged
-// trial set contains each completed trial exactly once.
-func mergeJournal(rep *Report, recs []TrialRecord) {
-	seen := make(map[int]bool, len(rep.Trials))
-	for _, tr := range rep.Trials {
-		seen[tr.ID] = true
+// driver is the library loop around a Study: it evaluates what the study
+// suggests, scores crashes, tells the study, and keeps the counters a
+// Report carries that the trial records alone do not determine.
+type driver struct {
+	opts           Options
+	study          *Study
+	rep            Report
+	cache          *evalCache // nil unless Options.DedupEvals
+	worstFinite    float64    // scale of the crash penalty
+	consecTimeouts int
+}
+
+// drive replays history (nil for a fresh run) and runs the loop to the
+// budget. The report is filled in on every return path.
+func drive(ctx context.Context, o optimizer.Optimizer, env Environment, opts Options, history []TrialRecord) (Report, error) {
+	sink := opts.Sink
+	if sink == nil && opts.Store != "" {
+		sj, err := OpenStudyJournal(opts.Store, opts.Study)
+		if err != nil {
+			return Report{}, err
+		}
+		defer sj.Close()
+		sink = sj
 	}
-	for _, rec := range recs {
-		if seen[rec.ID] {
+	d := &driver{opts: opts, study: NewStudy(o, sink), worstFinite: math.Inf(-1)}
+	if opts.DedupEvals {
+		d.cache = newEvalCache()
+	}
+	err := d.study.Replay(history)
+	if err != nil {
+		err = fmt.Errorf("trial: resume replay: %w", err)
+	}
+	d.rep.Resumed = len(history)
+	for _, tr := range history {
+		d.count(tr)
+		// Completed measurements re-warm the cache so a config already paid
+		// for before the kill is never re-run. Failed trials stay uncached:
+		// crashes and timeouts may be transient, and an aborted value is a
+		// truncated measurement.
+		if d.cache == nil || tr.Crashed || tr.Aborted || tr.TimedOut || tr.CacheHit {
 			continue
 		}
-		seen[rec.ID] = true
-		rep.Trials = append(rep.Trials, rec)
-		rep.TotalCostSeconds += rec.CostSeconds
-		if rec.Crashed {
-			rep.Crashes++
-			if rec.TimedOut {
-				rep.Timeouts++
-			}
+		fid := tr.Fidelity
+		if fid == 0 {
+			fid = opts.Fidelity
 		}
-		if rec.Aborted {
-			rep.Aborts++
+		d.cache.prime(evalKey{cfg: tr.Config.Key(), fidelity: fid},
+			Result{Value: tr.Value, CostSeconds: tr.CostSeconds})
+	}
+	if err == nil {
+		err = d.loop(ctx, env)
+	}
+	d.rep.Trials = d.study.Records()
+	d.rep.BestValue = math.Inf(1)
+	if best, ok := d.study.Best(); ok {
+		d.rep.BestValue = best.Value
+		d.rep.BestConfig = best.Config.Clone()
+	} else if err == nil {
+		err = errors.New("trial: no successful trials")
+	}
+	return d.rep, err
+}
+
+// count folds one recorded trial — replayed or just told — into the
+// report's counters and the crash-penalty scale.
+func (d *driver) count(rec TrialRecord) {
+	d.rep.TotalCostSeconds += rec.CostSeconds
+	if rec.Crashed {
+		d.rep.Crashes++
+		if rec.TimedOut {
+			d.rep.Timeouts++
 		}
-		if rec.CacheHit {
-			rep.CacheHits++
-		}
+	} else if rec.Value > d.worstFinite {
+		d.worstFinite = rec.Value
+	}
+	if rec.Aborted {
+		d.rep.Aborts++
+	}
+	if rec.CacheHit {
+		d.rep.CacheHits++
 	}
 }
 
-// finishRun applies the terminal invariants shared by Run and Resume.
-func finishRun(rep *Report, err error) (Report, error) {
-	if err != nil {
-		return *rep, err
+// bestValue is the incumbent's value, +Inf before the first success.
+func (d *driver) bestValue() float64 {
+	if best, ok := d.study.Best(); ok {
+		return best.Value
 	}
-	if math.IsInf(rep.BestValue, 1) {
-		return *rep, errors.New("trial: no successful trials")
-	}
-	return *rep, nil
+	return math.Inf(1)
 }
 
-// runState carries the mutable loop state shared by the barrier and
-// scheduler execution paths.
-type runState struct {
-	opts           Options
-	o              optimizer.Optimizer
-	rep            *Report
-	journal        JournalSink
-	cache          *evalCache // nil unless Options.DedupEvals
-	worstFinite    float64
-	consecTimeouts int
-	// nextID is the next trial ID to assign. It starts past the largest
-	// recorded ID (not at len(Trials)): a resumed journal may have gaps
-	// where a drained batch pre-assigned IDs that never completed, and
-	// those must not be reused for different configs.
-	nextID int
-}
-
-// nextTrialID returns one past the largest recorded trial ID.
-func nextTrialID(trials []TrialRecord) int {
-	next := 0
-	for _, t := range trials {
-		if t.ID >= next {
-			next = t.ID + 1
-		}
-	}
-	return next
-}
-
-// absorb finalizes one completed trial: impute the crash penalty, update
-// the incumbent and timeout counters, make the record durable, report it
-// to the optimizer, and append it to the report. Order is the WAL
-// contract: the journal append happens *before* Observe, so any trial
-// the optimizer has seen is recoverable after a kill.
-func (s *runState) absorb(cfg space.Config, r trialOutcome, id int, fid float64, hedged bool) error {
+// tell finalizes one completed trial: impute the crash penalty, hand the
+// record to the study (which journals it before the optimizer observes
+// it), and count it.
+func (d *driver) tell(cfg space.Config, r trialOutcome, id int, fid float64, hedged bool) error {
 	rec := TrialRecord{
 		ID:          id,
 		Config:      cfg.Clone(),
@@ -534,61 +512,39 @@ func (s *runState) absorb(cfg space.Config, r trialOutcome, id int, fid float64,
 		CacheHit:    r.cacheHit,
 		Metrics:     r.res.Metrics,
 	}
-	s.rep.TotalCostSeconds += r.res.CostSeconds
-	if r.cacheHit {
-		s.rep.CacheHits++
-	}
-	obsValue := r.res.Value
 	if r.err != nil {
 		rec.Crashed = true
-		s.rep.Crashes++
-		if errors.Is(r.err, ErrPanic) {
-			s.rep.Panics++
-		}
-		if errors.Is(r.err, context.DeadlineExceeded) {
-			rec.TimedOut = true
-			s.rep.Timeouts++
-			s.consecTimeouts++
-		}
+		rec.TimedOut = errors.Is(r.err, context.DeadlineExceeded)
 		// Impute the penalty score (slide 67: "make it up").
-		if math.IsInf(s.worstFinite, -1) {
-			obsValue = 1e6
+		if math.IsInf(d.worstFinite, -1) {
+			rec.Value = 1e6
 		} else {
-			obsValue = s.opts.CrashPenaltyFactor * math.Max(s.worstFinite, math.Abs(s.worstFinite))
-			if obsValue <= s.worstFinite {
-				obsValue = s.worstFinite + 1
+			rec.Value = d.opts.CrashPenaltyFactor * math.Max(d.worstFinite, math.Abs(d.worstFinite))
+			if rec.Value <= d.worstFinite {
+				rec.Value = d.worstFinite + 1
 			}
 		}
-		rec.Value = obsValue
-	} else {
-		s.consecTimeouts = 0
-		if obsValue > s.worstFinite {
-			s.worstFinite = obsValue
-		}
-		if obsValue < s.rep.BestValue {
-			s.rep.BestValue = obsValue
-			s.rep.BestConfig = cfg.Clone()
-		}
 	}
-	if r.aborted {
-		s.rep.Aborts++
+	acked, _, err := d.study.Observe([]TrialRecord{rec})
+	if acked == 0 {
+		return err
 	}
-	if s.journal != nil {
-		if err := s.journal.Append(rec); err != nil {
-			return err
-		}
+	d.count(rec)
+	if errors.Is(r.err, ErrPanic) {
+		d.rep.Panics++
 	}
-	if err := s.o.Observe(cfg, obsValue); err != nil {
-		return fmt.Errorf("trial %d observe: %w", rec.ID, err)
+	if rec.TimedOut {
+		d.consecTimeouts++
+	} else if r.err == nil {
+		d.consecTimeouts = 0
 	}
-	s.rep.Trials = append(s.rep.Trials, rec)
-	return nil
+	return err
 }
 
-// runBarrierBatch is the legacy synchronized path: evaluate the whole
-// batch, wait for every trial, absorb results in batch order.
-func (s *runState) runBarrierBatch(ctx context.Context, env Environment, batch []space.Config, fid float64) error {
-	results := runBatch(ctx, env, s.cache, batch, s.opts, fid, s.rep.BestValue)
+// runBarrierBatch is the synchronized path: evaluate the whole batch,
+// wait for every trial, tell results in batch order.
+func (d *driver) runBarrierBatch(ctx context.Context, env Environment, first int, batch []space.Config, fid float64) error {
+	results := runBatch(ctx, env, d.cache, batch, d.opts, fid, d.bestValue())
 	if err := ctx.Err(); err != nil {
 		// The batch raced with cancellation; its results are suspect
 		// (environments may have returned early) — drop them and let
@@ -600,30 +556,29 @@ func (s *runState) runBarrierBatch(ctx context.Context, env Environment, batch [
 		if results[i].res.CostSeconds > batchMaxCost {
 			batchMaxCost = results[i].res.CostSeconds
 		}
-		if err := s.absorb(cfg, results[i], s.nextID, fid, false); err != nil {
+		if err := d.tell(cfg, results[i], first+i, fid, false); err != nil {
 			return err
 		}
-		s.nextID++
 	}
-	s.rep.WallClockSeconds += batchMaxCost
+	d.rep.WallClockSeconds += batchMaxCost
 	return nil
 }
 
 // runSchedBatch routes the batch through the asynchronous pool:
-// completions are absorbed (journaled, observed) as they finish rather
-// than at a barrier, so a kill mid-batch keeps every finished trial. On
-// drain, attempts that observed the cancellation are dropped — their
-// results are context errors, not measurements — and their pre-assigned
-// IDs are retired unused.
-func (s *runState) runSchedBatch(ctx context.Context, pool *sched.Pool, env Environment, batch []space.Config, fid float64) error {
+// completions are told (journaled, observed) as they finish rather than
+// at a barrier, so a kill mid-batch keeps every finished trial. On drain,
+// attempts that observed the cancellation are dropped — their results are
+// context errors, not measurements — and their reserved IDs are retired
+// unused.
+func (d *driver) runSchedBatch(ctx context.Context, pool *sched.Pool, env Environment, first int, batch []space.Config, fid float64) error {
 	abortAbove := math.Inf(1)
-	if s.opts.AbortMargin > 0 && !math.IsInf(s.rep.BestValue, 1) {
-		abortAbove = s.rep.BestValue * (1 + s.opts.AbortMargin)
+	if best := d.bestValue(); d.opts.AbortMargin > 0 && !math.IsInf(best, 1) {
+		abortAbove = best * (1 + d.opts.AbortMargin)
 	}
 	exec := func(actx context.Context, task, attempt int) sched.Attempt {
 		var out trialOutcome
 		if attempt == 0 {
-			out = runOneCached(actx, env, s.cache, batch[task], fid, abortAbove)
+			out = runOneCached(actx, env, d.cache, batch[task], fid, abortAbove)
 		} else {
 			// Hedge duplicates exist to race a straggling primary; routing
 			// them through the cache would make them wait on that same
@@ -632,12 +587,10 @@ func (s *runState) runSchedBatch(ctx context.Context, pool *sched.Pool, env Envi
 		}
 		return sched.Attempt{Cost: out.res.CostSeconds, Err: out.err, Payload: out}
 	}
-	baseID := s.nextID
-	s.nextID += len(batch)
 	before := pool.Stats()
-	var absorbErr error
+	var tellErr error
 	elapsed, runErr := pool.Run(ctx, len(batch), exec, func(c sched.Completion) {
-		if absorbErr != nil {
+		if tellErr != nil {
 			return
 		}
 		out, ok := c.Result.Payload.(trialOutcome)
@@ -653,138 +606,57 @@ func (s *runState) runSchedBatch(ctx context.Context, pool *sched.Pool, env Envi
 		// (the reported cost scaled by the host's speed multiplier),
 		// plus whatever a cancelled duplicate wasted.
 		out.res.CostSeconds = c.Cost
-		s.rep.TotalCostSeconds += c.Waste
-		absorbErr = s.absorb(batch[c.Task], out, baseID+c.Task, fid, c.Hedged)
+		d.rep.TotalCostSeconds += c.Waste
+		tellErr = d.tell(batch[c.Task], out, first+c.Task, fid, c.Hedged)
 	})
-	s.rep.WallClockSeconds += elapsed
+	d.rep.WallClockSeconds += elapsed
 	after := pool.Stats()
-	s.rep.Hedges += after.Hedges - before.Hedges
-	s.rep.HedgeWins += after.HedgeWins - before.HedgeWins
-	if absorbErr != nil {
-		return absorbErr
+	d.rep.Hedges += after.Hedges - before.Hedges
+	d.rep.HedgeWins += after.HedgeWins - before.HedgeWins
+	if tellErr != nil {
+		return tellErr
 	}
 	return runErr
 }
 
-// runLoop executes trials until the budget is reached, mutating rep.
-func runLoop(ctx context.Context, o optimizer.Optimizer, env Environment, opts Options, rep *Report, worstFinite float64) (*Report, error) {
-	s := &runState{opts: opts, o: o, rep: rep, worstFinite: worstFinite, nextID: nextTrialID(rep.Trials)}
-	if opts.DedupEvals {
-		s.cache = newEvalCache()
-		// On resume, completed measurements re-warm the cache so a config
-		// already paid for before the kill is never re-run. Failed trials
-		// stay uncached: crashes and timeouts may be transient, and an
-		// aborted value is a truncated measurement.
-		for _, tr := range rep.Trials {
-			if tr.Crashed || tr.Aborted || tr.TimedOut || tr.CacheHit {
-				continue
-			}
-			fid := tr.Fidelity
-			if fid == 0 {
-				fid = opts.Fidelity
-			}
-			s.cache.prime(evalKey{cfg: tr.Config.Key(), fidelity: fid},
-				Result{Value: tr.Value, CostSeconds: tr.CostSeconds})
-		}
-	}
-	switch {
-	case opts.Sink != nil:
-		s.journal = opts.Sink
-	case opts.Store != "":
-		sj, err := OpenStudyJournal(opts.Store, opts.Study)
-		if err != nil {
-			return rep, err
-		}
-		defer sj.Close()
-		s.journal = sj
-	}
+// loop asks, evaluates and tells until the budget is reached or the
+// strategy is exhausted.
+func (d *driver) loop(ctx context.Context, env Environment) error {
+	opts := d.opts
 	var pool *sched.Pool
 	if opts.Scheduler != nil {
 		pool = sched.New(*opts.Scheduler)
 	}
 	fid := opts.Fidelity
-	sinceCheckpoint := 0
-	checkpointEvery := opts.CheckpointEvery
-	if checkpointEvery < 1 {
-		checkpointEvery = 1 // every batch
-	}
-	checkpoint := func() {
-		if opts.Checkpoint != "" {
-			// A checkpoint failure must not kill the run it protects;
-			// the next interval retries the write.
-			//autolint:ignore droppederr checkpointing is best-effort by design
-			_ = saveCheckpoint(*rep, opts.Checkpoint)
-		}
-	}
-	for len(rep.Trials) < opts.Budget {
+	for rem := opts.Budget - len(d.study.Records()); rem > 0; rem = opts.Budget - len(d.study.Records()) {
 		if err := ctx.Err(); err != nil {
-			checkpoint()
-			return rep, err
+			return err
 		}
-		n := opts.Parallel
-		if rem := opts.Budget - len(rep.Trials); n > rem {
-			n = rem
-		}
-		batch, err := suggestBatch(o, n)
-		if errors.Is(err, optimizer.ErrExhausted) {
-			break
-		}
+		first, batch, _, err := d.study.Suggest(min(opts.Parallel, rem))
 		if err != nil {
-			return rep, fmt.Errorf("trial %d: %w", s.nextID, err)
+			return fmt.Errorf("trial %d: %w", d.study.NextID(), err)
+		}
+		if len(batch) == 0 {
+			return nil // exhausted
 		}
 		if pool != nil {
-			err = s.runSchedBatch(ctx, pool, env, batch, fid)
+			err = d.runSchedBatch(ctx, pool, env, first, batch, fid)
 		} else {
-			err = s.runBarrierBatch(ctx, env, batch, fid)
+			err = d.runBarrierBatch(ctx, env, first, batch, fid)
 		}
 		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				// Cancellation: persist what was absorbed before leaving.
-				checkpoint()
-			}
-			return rep, err
+			return err
 		}
 		// Graceful degradation: a deadline the environment persistently
 		// misses means the fidelity is too expensive for this host —
 		// halve it instead of burning the rest of the budget on timeouts.
-		if opts.DegradeAfterTimeouts > 0 && s.consecTimeouts >= opts.DegradeAfterTimeouts && fid > opts.MinFidelity {
+		if opts.DegradeAfterTimeouts > 0 && d.consecTimeouts >= opts.DegradeAfterTimeouts && fid > opts.MinFidelity {
 			fid = math.Max(fid/2, opts.MinFidelity)
-			rep.Degradations++
-			s.consecTimeouts = 0
-		}
-		sinceCheckpoint += len(batch)
-		if opts.Checkpoint != "" && sinceCheckpoint >= checkpointEvery {
-			checkpoint()
-			sinceCheckpoint = 0
+			d.rep.Degradations++
+			d.consecTimeouts = 0
 		}
 	}
-	checkpoint()
-	return rep, nil
-}
-
-func suggestBatch(o optimizer.Optimizer, n int) ([]space.Config, error) {
-	if n == 1 {
-		cfg, err := o.Suggest()
-		if err != nil {
-			return nil, err
-		}
-		return []space.Config{cfg}, nil
-	}
-	if bs, ok := o.(optimizer.BatchSuggester); ok {
-		return bs.SuggestN(n)
-	}
-	out := make([]space.Config, 0, n)
-	for i := 0; i < n; i++ {
-		cfg, err := o.Suggest()
-		if err != nil {
-			if len(out) > 0 && errors.Is(err, optimizer.ErrExhausted) {
-				break
-			}
-			return nil, err
-		}
-		out = append(out, cfg)
-	}
-	return out, nil
+	return nil
 }
 
 type trialOutcome struct {
@@ -840,22 +712,11 @@ func runOne(ctx context.Context, env Environment, cfg space.Config, fidelity, ab
 	return out
 }
 
-// saveCheckpoint persists an in-progress report, sanitizing the +Inf
-// incumbent a run that has not yet succeeded carries (JSON cannot encode
-// infinities; Resume recomputes the incumbent from the trial log anyway).
-func saveCheckpoint(r Report, path string) error {
-	if math.IsInf(r.BestValue, 0) || math.IsNaN(r.BestValue) {
-		r.BestValue = 0
-		r.BestConfig = nil
-	}
-	return r.Save(path)
-}
-
 // Save writes the report as JSON. The write is crash-safe against both
 // process kills and power failure: data goes to a temp file in the
 // target directory, is fsync'd, renamed into place, and the directory is
-// fsync'd too — a reader (or a resumed run) never observes a torn file,
-// and the rename itself survives a crash.
+// fsync'd too — a reader never observes a torn file, and the rename
+// itself survives a crash.
 func (r Report) Save(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -907,19 +768,6 @@ func syncDir(dir string) error {
 		return fmt.Errorf("trial: sync dir %s: %w", dir, err)
 	}
 	return nil
-}
-
-// LoadReport reads a report written by Save.
-func LoadReport(path string) (Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, fmt.Errorf("trial: read %s: %w", path, err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return Report{}, fmt.Errorf("trial: parse %s: %w", path, err)
-	}
-	return r, nil
 }
 
 // BestOverTime returns the running-best value after each trial — the
