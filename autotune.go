@@ -342,7 +342,7 @@ func Serve(ctx context.Context, addr string, opts ServerOptions) error {
 }
 
 // Experiments lists the reproduction experiment ids: the tutorial's
-// figures/claims (F1..F22) and the framework's own ablations (A1..A5).
+// figures/claims (F1..F22) and the framework's own ablations (A1..A6).
 func Experiments() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one of the tutorial's figures/tables. Quick

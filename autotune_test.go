@@ -110,7 +110,7 @@ func TestFacadeSpaceBuilders(t *testing.T) {
 
 func TestFacadeExperimentsRegistry(t *testing.T) {
 	ids := autotune.Experiments()
-	if len(ids) != 27 {
+	if len(ids) != 28 {
 		t.Fatalf("experiments = %d", len(ids))
 	}
 	tab, err := autotune.RunExperiment("F1", true, 7)

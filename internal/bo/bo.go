@@ -59,12 +59,6 @@ type Options struct {
 	// bitwise-identical suggestions: restart RNGs are index-derived and
 	// results are reduced in index order.
 	AcqWorkers int
-	// FullRefit disables the incremental surrogate path: every batch of
-	// new observations triggers an O(n³) from-scratch refit as earlier
-	// versions did. Off by default; the incremental O(n²) path is used
-	// whenever it is exactly equivalent. Kept as a benchmark arm and
-	// escape hatch.
-	FullRefit bool
 	// GPWorkers bounds the goroutines the surrogate uses for gram
 	// construction and batched prediction (default GOMAXPROCS). Every
 	// value produces bitwise-identical models: rows are partitioned by
@@ -412,8 +406,8 @@ func (b *BO) gpModelForTier() gpModel {
 // ensureModel brings the surrogate up to date with history: first the
 // tier decision (a pure function of history size), then incremental
 // absorption wherever it is exactly equivalent to refitting — otherwise
-// (tier switch, hyperparameter refit due, non-finite values in play, a
-// LogY shift change, or Options.FullRefit) a rebuild from scratch.
+// (tier switch, hyperparameter refit due, non-finite values in play, or a
+// LogY shift change) a rebuild from scratch.
 func (b *BO) ensureModel() error {
 	n := len(b.History())
 	tier := b.resolveTier(n)
@@ -434,7 +428,7 @@ func (b *BO) ensureModel() error {
 		return nil
 	}
 	hist := b.History()
-	if b.opts.FullRefit || b.haveInvalid || b.absorbed > len(hist) {
+	if b.haveInvalid || b.absorbed > len(hist) {
 		return b.refit()
 	}
 	if b.tier != SurrogateForest {

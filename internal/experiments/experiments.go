@@ -49,7 +49,7 @@ func IDs() []string {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		// Figures (F1..F20) first, then ablations (A1..A4), numerically.
+		// Figures first, then ablations, numerically.
 		pi, pj := ids[i][0], ids[j][0]
 		if pi != pj {
 			return pi == 'F'

@@ -38,10 +38,10 @@ func cell(t *testing.T, tab Table, row, col int) float64 {
 
 func TestIDsCompleteAndSorted(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 27 {
-		t.Fatalf("experiments = %d, want 27 (F1-F22 + A1-A5): %v", len(ids), ids)
+	if len(ids) != 28 {
+		t.Fatalf("experiments = %d, want 28 (F1-F22 + A1-A6): %v", len(ids), ids)
 	}
-	if ids[0] != "F1" || ids[21] != "F22" || ids[22] != "A1" || ids[26] != "A5" {
+	if ids[0] != "F1" || ids[21] != "F22" || ids[22] != "A1" || ids[27] != "A6" {
 		t.Fatalf("order: %v", ids)
 	}
 	if _, err := Run("F99", true, 1); err == nil {
@@ -341,6 +341,15 @@ func TestA5HedgingBeatsBarrier(t *testing.T) {
 	}
 	if wins := cell(t, tab, 1, 4); wins == 0 {
 		t.Fatal("hedging never won a race")
+	}
+}
+
+func TestA6TierLadderKeepsRegret(t *testing.T) {
+	tab := runQuick(t, "A6")
+	for i, row := range tab.Rows {
+		if ratio := cell(t, tab, i, 4); ratio > 1.5 {
+			t.Fatalf("%s: tiered/dense regret ratio %v exceeds 1.5", row[0], ratio)
+		}
 	}
 }
 

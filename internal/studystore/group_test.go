@@ -2,15 +2,20 @@ package studystore_test
 
 // Group-commit tests: the shared-fsync path must be invisible to every
 // durability property the store already guarantees. A serial writer
-// produces byte-identical logs with grouping on or off; concurrent
-// appenders are acked exactly once across crashes at every fault point;
-// a leader's fsync failure fails every waiter it was committing for and
-// poisons the store for the rest.
+// produces the checked-in byte stream; N appenders queued behind a leader
+// share exactly one fsync; concurrent appenders are acked exactly once
+// across crashes at every fault point; a leader's fsync failure fails
+// every waiter it was committing for and poisons the store for the rest.
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -21,11 +26,9 @@ import (
 // runSerialWorkload drives a deterministic single-goroutine workload —
 // appends, batches, rotations via the small segment size, one compaction,
 // a final seal — against a fresh store on fs.
-func runSerialWorkload(t *testing.T, fs *errfs.FS, disableGroup bool) {
+func runSerialWorkload(t *testing.T, fs *errfs.FS) {
 	t.Helper()
-	st, err := studystore.Open("db", studystore.Options{
-		FS: fs, SegmentBytes: tortureSegBytes, DisableGroupCommit: disableGroup,
-	})
+	st, err := studystore.Open("db", studystore.Options{FS: fs, SegmentBytes: tortureSegBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,28 +55,41 @@ func runSerialWorkload(t *testing.T, fs *errfs.FS, disableGroup bool) {
 	}
 }
 
-// TestGroupCommitSerialByteIdentical pins the property that makes group
-// commit safe to enable by default: for a serial writer every group has
-// exactly one batch, so the on-disk byte stream — segment headers, frame
-// order, rotation points, snapshots, seal frames — is identical to the
-// per-caller-fsync baseline.
+// TestGroupCommitSerialByteIdentical pins the on-disk format: for a serial
+// writer every group has exactly one batch, so the byte stream — segment
+// headers, frame order, rotation points, snapshots, seal frames — is the
+// one testdata/serial.golden records (name, size, sha256 per file). The
+// golden was written at the last commit that still had the
+// per-caller-fsync arm, where both arms produced it. Regenerate with
+// `UPDATE=1 go test ./internal/studystore -run
+// TestGroupCommitSerialByteIdentical` only when a format change is the
+// point.
 func TestGroupCommitSerialByteIdentical(t *testing.T) {
-	grouped, baseline := errfs.New(), errfs.New()
-	runSerialWorkload(t, grouped, false)
-	runSerialWorkload(t, baseline, true)
-	gf, bf := grouped.Files(), baseline.Files()
-	if len(gf) != len(bf) {
-		t.Fatalf("file sets differ: grouped %d files, baseline %d", len(gf), len(bf))
+	fs := errfs.New()
+	runSerialWorkload(t, fs)
+	files := fs.Files()
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
-	for name, want := range bf {
-		got, ok := gf[name]
-		if !ok {
-			t.Fatalf("grouped store missing %s", name)
+	sort.Strings(names)
+	var got bytes.Buffer
+	for _, name := range names {
+		fmt.Fprintf(&got, "%s %d %x\n", name, len(files[name]), sha256.Sum256(files[name]))
+	}
+	path := filepath.Join("testdata", "serial.golden")
+	if os.Getenv("UPDATE") == "1" {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Fatalf("%s differs between group-commit on and off (%d vs %d bytes)",
-				name, len(got), len(want))
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with UPDATE=1): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("serial workload's files differ from %s:\n got:\n%swant:\n%s", path, got.Bytes(), want)
 	}
 }
 
@@ -195,6 +211,58 @@ func (h *blockingSyncFile) Sync() error {
 		}
 	}
 	return h.File.Sync()
+}
+
+// TestGroupCommitSharesOneFsync is the amortization gate as a count: with
+// the leader held inside its fsync and n-1 single-record appenders queued
+// behind it, releasing the leader must commit all n batches under exactly
+// two append fsyncs — the leader's own and one shared by every follower. A
+// regression to fsync-per-caller fails here on any machine, loaded or
+// not.
+func TestGroupCommitSharesOneFsync(t *testing.T) {
+	const n = 9
+	inner := errfs.New()
+	fs := &blockingSyncFS{FS: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	st, err := studystore.Open("db", studystore.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats().Fsyncs
+	fs.mu.Lock()
+	fs.armAt = fs.calls + 1
+	fs.mu.Unlock()
+
+	errsCh := make(chan error, n)
+	go func() { errsCh <- st.Append(rec("lead", 0)) }()
+	<-fs.entered // the leader is inside its fsync, holding the token
+	for i := int64(1); i < n; i++ {
+		go func(i int64) { errsCh <- st.Append(rec("follow", i)) }(i)
+	}
+	for spin := 0; st.QueueDepth() < n-1; spin++ {
+		if spin > 1e7 {
+			t.Fatal("followers never queued behind the leader")
+		}
+		runtime.Gosched()
+	}
+	close(fs.release)
+	for i := 0; i < n; i++ {
+		if err := <-errsCh; err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	stats := st.Stats()
+	if got := stats.Fsyncs - before; got != 2 || stats.Groups != 2 || stats.GroupBatches != n || stats.MaxGroup != n-1 {
+		t.Fatalf("%d batches took %d fsyncs in %d groups (%d batches, largest %d), want 2 fsyncs, 2 groups, %d batches, largest %d",
+			n, got, stats.Groups, stats.GroupBatches, stats.MaxGroup, n, n-1)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inner.Crash()
+	got := recovered(t, inner, "shared-fsync") // fails on a record recovered twice
+	if len(got) != n || !got[recKey{"lead", 0}] {
+		t.Fatalf("recovered %d records, want the leader's and %d followers'", len(got), n-1)
+	}
 }
 
 // TestGroupCommitLeaderFsyncFailurePoisonsAllWaiters arms the leader's

@@ -83,11 +83,6 @@ type Options struct {
 	// ReadOnly opens the store without repairing, creating, or writing
 	// anything; Append, Compact, and Rotate fail with ErrReadOnly.
 	ReadOnly bool
-	// DisableGroupCommit forces every append batch to pay its own fsync
-	// (the pre-group-commit barrier) instead of riding a shared one. The
-	// write path is identical otherwise — it exists as the benchmark
-	// baseline and for the byte-identity property tests.
-	DisableGroupCommit bool
 }
 
 // Stats summarizes store state and activity since Open.
@@ -130,7 +125,7 @@ func (st Stats) MeanGroup() float64 {
 // owns the active segment handle and is held across Write/Sync/rotate/
 // compact so the on-disk log is a serial history; holding it across
 // fsync IS the WAL barrier and is deliberate (annotated where the
-// lockheld analyzer fires). Under group commit only the current leader
+// lockheld analyzer fires). Of the appenders only the current leader
 // takes wmu, so concurrent appenders queue on qmu (cheap) rather than on
 // an fsync in progress. mu guards the in-memory index and handle
 // metadata and is never held across I/O, so Records/Studies/Stats/
@@ -144,9 +139,8 @@ type Store struct {
 	fs  FS
 	dir string
 
-	segBytes    int64
-	readOnly    bool
-	groupCommit bool
+	segBytes int64
+	readOnly bool
 
 	// Group-commit queue: qmu guards the pending batches (never held
 	// across I/O); leadTok is the capacity-1 leadership token — its
@@ -186,15 +180,14 @@ type Store struct {
 // appending.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		fs:          opts.FS,
-		dir:         dir,
-		segBytes:    opts.SegmentBytes,
-		readOnly:    opts.ReadOnly,
-		groupCommit: !opts.DisableGroupCommit,
-		leadTok:     make(chan struct{}, 1),
-		liveSegs:    map[uint64]bool{},
-		studies:     map[string][]Record{},
-		seen:        map[string]map[int64]bool{},
+		fs:       opts.FS,
+		dir:      dir,
+		segBytes: opts.SegmentBytes,
+		readOnly: opts.ReadOnly,
+		leadTok:  make(chan struct{}, 1),
+		liveSegs: map[uint64]bool{},
+		studies:  map[string][]Record{},
+		seen:     map[string]map[int64]bool{},
 	}
 	if s.fs == nil {
 		s.fs = OSFS()
@@ -598,16 +591,7 @@ func (s *Store) AppendBatch(recs []Record) error {
 			return err // encoding error: nothing written, store still clean
 		}
 	}
-	req := &commitReq{buf: buf, recs: recs, done: make(chan error, 1)}
-	if !s.groupCommit {
-		// Baseline arm: the same commit path, forced to a group of one,
-		// so every batch pays its own fsync.
-		s.wmu.Lock()
-		err := s.commitGroupLocked([]*commitReq{req})
-		s.wmu.Unlock()
-		return err
-	}
-	return s.enqueueCommit(req)
+	return s.enqueueCommit(&commitReq{buf: buf, recs: recs, done: make(chan error, 1)})
 }
 
 // poisonWith records the first failure and returns it. Caller holds

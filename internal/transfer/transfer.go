@@ -7,11 +7,9 @@
 package transfer
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"autotune/internal/optimizer"
@@ -30,15 +28,15 @@ var ErrEmpty = errors.New("transfer: empty store")
 type Record struct {
 	// Workload describes the session context as numeric features
 	// (e.g. read_ratio, working_set_mb, request_rate).
-	Workload map[string]float64 `json:"workload"`
+	Workload map[string]float64
 	// Trials holds observed configurations; Value may be CrashValue.
-	Trials []Trial `json:"trials"`
+	Trials []Trial
 }
 
 // Trial is one stored observation.
 type Trial struct {
-	Config space.Config `json:"config"`
-	Value  float64      `json:"value"`
+	Config space.Config
+	Value  float64
 }
 
 // Store accumulates session records. The zero value is ready to use.
@@ -238,30 +236,4 @@ func TopConfigs(recs []Record, k int) []space.Config {
 		out = append(out, it.cfg.Clone())
 	}
 	return out
-}
-
-// Save writes the store as JSON to path.
-func (s *Store) Save(path string) error {
-	data, err := json.MarshalIndent(s.records, "", "  ")
-	if err != nil {
-		return fmt.Errorf("transfer: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("transfer: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load reads a store from JSON written by Save. Config values arrive as
-// generic JSON types; use space.Clip to restore typed values before use.
-func Load(path string) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("transfer: read %s: %w", path, err)
-	}
-	var recs []Record
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("transfer: parse %s: %w", path, err)
-	}
-	return &Store{records: recs}, nil
 }

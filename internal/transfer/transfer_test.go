@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"autotune/internal/optimizer"
@@ -186,35 +185,6 @@ func TestWarmStartAllCrashes(t *testing.T) {
 	_, v, _ := o.Best()
 	if math.IsInf(v, 0) {
 		t.Fatal("imputed crash score should be finite")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
-	var st Store
-	st.Add(mkRecord(map[string]float64{"rate": 2},
-		Trial{space.Config{"x": 0.25}, 1.5},
-	))
-	if err := st.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 1 {
-		t.Fatalf("len = %d", loaded.Len())
-	}
-	r := loaded.Records()[0]
-	if r.Workload["rate"] != 2 || r.Trials[0].Value != 1.5 {
-		t.Fatalf("record = %+v", r)
-	}
-	if r.Trials[0].Config.Float("x") != 0.25 {
-		t.Fatalf("config = %v", r.Trials[0].Config)
-	}
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file should error")
 	}
 }
 
