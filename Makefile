@@ -10,7 +10,7 @@ help:
 	@echo "  bench               quick figure suite (F1-F22, A1-A6) + go test -bench micro-benchmarks; no floors (BENCH_4..9.json are all frozen records)"
 	@echo "  e2e-bench           quick pass of the repo benchmark (BENCHMARK.json: daemon subprocess, four workloads)"
 	@echo "  e2e-pairs           BASE=<rev> WORKLOAD=<name> [N=10]: alternate parent/change runs of the repo benchmark, then -compare"
-	@echo "  loc                 non-test Go line count outside benchmark/ and lint fixtures (ROADMAP item 2 gate)"
+	@echo "  loc                 non-test Go line count outside benchmark/ and lint fixtures (the size gate of ROADMAP's simplicity items)"
 	@echo "  deep-history        surrogate tier determinism tests + the A6 regret guard (rides in check)"
 	@echo "  serve               run the tuning daemon locally (store: ./.autotuned; SIGTERM drains)"
 	@echo "  serve-contract      service robustness tests: overload shedding, graceful drain, kill -9 recovery"
@@ -18,7 +18,7 @@ help:
 	@echo "  soak                long-running race soak of sched + trial"
 	@echo "  crash               full fault-injection torture of the study store (every fault point, every byte prefix)"
 	@echo "  crash-quick         sampled torture sweep (the slice of crash that rides in check)"
-	@echo "  zero-alloc          allocs/op gates: gp.Predict, warm bo.Suggest, space encoders, count=64 suggest handler"
+	@echo "  zero-alloc          allocs/op gates: gp.Predict, warm bo.Suggest, space encoders, count=64 suggest and single-trial observe handlers"
 	@echo "  fuzz-quick          10 s each of FuzzConfigAppendJSON and FuzzDecodeRecord: the hand-written JSON writer and record decoder against encoding/json (rides in check)"
 	@echo "  race-core           focused -race pass over the lock-discipline-critical packages"
 	@echo "  lint                repo-specific static analysis, both tiers (cmd/autolint -typed)"
@@ -67,13 +67,15 @@ crash-quick:
 
 # Pin the zero-allocation hot paths (PR 5 invariant): gp.Predict and the
 # space encoders at exactly zero allocs/op warm, bo.Suggest under its
-# documented ceiling, and a count=64 suggest through Server.ServeHTTP
-# under the ceiling the hand-written response encoder bought (PR 14).
+# documented ceiling, a count=64 suggest through Server.ServeHTTP under the
+# ceiling the hand-written response encoder bought, and a single-trial
+# observe under the ceiling that strategies keeping no copy of the history
+# bought.
 zero-alloc:
 	$(GO) test ./internal/gp -run TestPredictZeroAllocs -count=1
 	$(GO) test ./internal/space -run 'Test(EncodeInto|SampleInto)ZeroAllocs' -count=1
 	$(GO) test ./internal/bo -run TestSuggestWarmAllocs -count=1
-	$(GO) test ./internal/server -run TestSuggestHandlerAllocs -count=1
+	$(GO) test ./internal/server -run 'Test(Suggest|Observe)HandlerAllocs' -count=1
 
 # Ten seconds each of differential fuzzing against encoding/json:
 # space.Config.AppendJSON must write json.Marshal's bytes or fail where it
@@ -156,8 +158,8 @@ e2e-pairs:
 	done
 	$(GO) run ./benchmark -compare .bench_build/pairs-base.jsonl .bench_build/pairs-change.jsonl
 
-# ROADMAP item 2's size gate in one command: non-test Go lines outside the
-# benchmark harness and the lint fixtures.
+# The size gate of ROADMAP's simplicity items in one command: non-test Go
+# lines outside the benchmark harness and the lint fixtures.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/lint/testdata/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 

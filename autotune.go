@@ -216,10 +216,15 @@ func NewOptimizer(name string, s *Space, seed int64) (Optimizer, error) {
 	return core.NewOptimizer(name, s, rand.New(rand.NewSource(seed)))
 }
 
-// Minimize drives an optimizer against f for `budget` evaluations and
-// returns the best configuration and value found.
+// Minimize drives an optimizer against f for `budget` evaluations through
+// the tuning loop (Tune over a FuncEnv) and returns the best configuration
+// and value found.
 func Minimize(o Optimizer, f func(Config) float64, budget int) (Config, float64, error) {
-	return optimizer.Run(o, f, budget)
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	if err != nil {
+		return nil, 0, err
+	}
+	return rep.BestConfig, rep.BestValue, nil
 }
 
 // Tune runs the full-featured tuning loop (crash handling, parallelism,

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +100,58 @@ func captureRun(t *testing.T, o cliOptions) string {
 		t.Fatal(readErr)
 	}
 	return string(out)
+}
+
+// TestCLIGolden pins the stdout of four invocations to testdata/cli.golden:
+// a seeded bo run, the same run on the hedging scheduler with injected
+// faults, and a stored run of 20 trials resumed to 40. A change that claims
+// "same behaviour" leaves the file untouched; regenerate it with
+// `UPDATE=1 go test ./cmd/autotune -run TestCLIGolden` only when a
+// behaviour change is the point.
+func TestCLIGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden output is pinned on amd64: fused multiply-add changes low bits elsewhere")
+	}
+	path, err := filepath.Abs(filepath.Join("testdata", "cli.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(t.TempDir()) // the resume line prints the store path, so it stays "d"
+	bo40 := cliOptions{
+		system: "simdb", wlName: "tpcc", optName: "bo", metric: "latency", vmSize: "medium",
+		budget: 40, parallel: 1, fidelity: 1, seed: 1, surrogate: "auto",
+	}
+	hedged := bo40
+	hedged.parallel, hedged.sched, hedged.hedge, hedged.faults = 4, true, 0.9, 0.2
+	stored := bo40
+	stored.budget, stored.store = 20, "d"
+	resumed := bo40
+	resumed.store, resumed.resume = "d", true
+	var got bytes.Buffer
+	for _, c := range []struct {
+		args string
+		o    cliOptions
+	}{
+		{"-system simdb -optimizer bo -budget 40 -seed 1", bo40},
+		{"-system simdb -optimizer bo -budget 40 -seed 1 -parallel 4 -sched -hedge 0.9 -faults 0.2", hedged},
+		{"-system simdb -optimizer bo -seed 1 -store d -budget 20", stored},
+		{"-system simdb -optimizer bo -seed 1 -store d -budget 40 -resume", resumed},
+	} {
+		fmt.Fprintf(&got, "$ autotune %s\n%s", c.args, captureRun(t, c.o))
+	}
+	if os.Getenv("UPDATE") == "1" {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with UPDATE=1): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("CLI output differs from %s:\n--- got\n%s\n--- want\n%s", path, got.Bytes(), want)
+	}
 }
 
 // TestRunBitwiseDeterministic is the determinism invariant the lint

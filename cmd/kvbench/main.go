@@ -17,8 +17,8 @@ import (
 
 	"autotune/internal/core"
 	"autotune/internal/kvstore"
-	"autotune/internal/optimizer"
 	"autotune/internal/space"
+	"autotune/internal/trial"
 	"autotune/internal/workload"
 )
 
@@ -103,11 +103,12 @@ func main() {
 	}
 	fmt.Printf("tuning kvstore on %s: %d trials x %d ops x %d workers...\n",
 		wl.Name, *budget, *ops, *workers)
-	best, val, err := optimizer.Run(opt, obj, *budget)
+	rep, err := trial.Run(opt, &trial.FuncEnv{Sp: kvstore.Space(), F: obj}, trial.Options{Budget: *budget})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvbench:", err)
 		os.Exit(1)
 	}
+	best, val := rep.BestConfig, rep.BestValue
 	fmt.Printf("\nbest throughput: %.0f ops/sec\n\nbest configuration:\n", -val)
 	names := make([]string, 0, len(best))
 	for k := range best {

@@ -39,7 +39,7 @@ func main() {
 	}
 
 	grid := optimizer.NewGrid(redis.Space(), budget)
-	_, gBest, err := optimizer.Run(grid, p95, budget)
+	_, gBest, err := autotune.Minimize(grid, p95, budget)
 	must(err)
 	show("grid", gBest)
 

@@ -176,7 +176,6 @@ type SurrogateStats struct {
 // BO is a sequential model-based optimizer with a GP surrogate. It
 // implements optimizer.Optimizer and optimizer.BatchSuggester.
 type BO struct {
-	optimizer.Recorder
 	space *space.Space
 	rng   *rand.Rand
 	opts  Options
@@ -192,6 +191,10 @@ type BO struct {
 	modelDirty bool
 	lastHyper  int
 	logShift   float64 // shift used by the LogY warp in the current fit
+
+	// hist is every observation in arrival order; each Config is the one
+	// Observe was handed, kept without a copy.
+	hist []optimizer.Observation
 
 	// absorbed is how many history observations the surrogate currently
 	// reflects; haveInvalid whether any of them were non-finite before
@@ -307,7 +310,7 @@ func (b *BO) encode(cfg space.Config) []float64 {
 // encoded returns the encoded row of every history entry, encoding only
 // those observed since the last call.
 func (b *BO) encoded() [][]float64 {
-	for _, obs := range b.History()[len(b.encHist):] {
+	for _, obs := range b.hist[len(b.encHist):] {
 		b.encHist = append(b.encHist, b.encode(obs.Config))
 	}
 	return b.encHist
@@ -315,17 +318,19 @@ func (b *BO) encoded() [][]float64 {
 
 // Observe implements optimizer.Optimizer and marks the surrogate stale.
 func (b *BO) Observe(cfg space.Config, value float64) error {
-	if err := b.Recorder.Observe(cfg, value); err != nil {
-		return err
-	}
+	b.hist = append(b.hist, optimizer.Observation{Config: cfg, Value: value})
 	b.modelDirty = true
 	return nil
 }
 
+// History returns every observation in arrival order. The slice is live;
+// callers must not modify it.
+func (b *BO) History() []optimizer.Observation { return b.hist }
+
 // refit rebuilds the active tier's surrogate from history; under the GP
 // tiers, hyperparameters are refitted every FitHyperEvery observations.
 func (b *BO) refit() error {
-	hist := b.History()
+	hist := b.hist
 	xs := b.encoded()
 	ys := make([]float64, len(hist))
 	haveInvalid := false
@@ -409,7 +414,7 @@ func (b *BO) gpModelForTier() gpModel {
 // (tier switch, hyperparameter refit due, non-finite values in play, or a
 // LogY shift change) a rebuild from scratch.
 func (b *BO) ensureModel() error {
-	n := len(b.History())
+	n := len(b.hist)
 	tier := b.resolveTier(n)
 	if tier != b.tier {
 		if b.tier != SurrogateAuto { // initial placement is not a switch
@@ -427,7 +432,7 @@ func (b *BO) ensureModel() error {
 	if !b.modelDirty {
 		return nil
 	}
-	hist := b.History()
+	hist := b.hist
 	if b.haveInvalid || b.absorbed > len(hist) {
 		return b.refit()
 	}
@@ -471,7 +476,7 @@ func (b *BO) ensureModel() error {
 // Suggest implements optimizer.Optimizer: warm-up samples first, then
 // acquisition maximization over the surrogate.
 func (b *BO) Suggest() (space.Config, error) {
-	n := b.N()
+	n := len(b.hist)
 	if n == 0 {
 		return b.space.Default(), nil
 	}
@@ -534,7 +539,7 @@ func (b *BO) refine(model surModel, cfg space.Config, best float64) space.Config
 // clone absorbs the pick at the incumbent value with an O(n²) rank-1
 // update — no per-pick O(n³) refit — pushing later picks away.
 func (b *BO) SuggestN(n int) ([]space.Config, error) {
-	if n <= 1 || b.N() < b.opts.InitSamples {
+	if n <= 1 || len(b.hist) < b.opts.InitSamples {
 		out := make([]space.Config, 0, n)
 		for i := 0; i < n; i++ {
 			cfg, err := b.Suggest()
@@ -597,7 +602,7 @@ func logWarp(ys []float64) ([]float64, float64) {
 // safe-exploration guardrails and diagnostics. Before the model exists it
 // returns ok=false.
 func (b *BO) Predict(cfg space.Config) (mean, std float64, ok bool) {
-	if b.N() == 0 {
+	if len(b.hist) == 0 {
 		return 0, 0, false
 	}
 	if err := b.ensureModel(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 )
 
 func TestAcquisitionShapes(t *testing.T) {
@@ -84,7 +85,7 @@ func TestBOOnBranin(t *testing.T) {
 	f := testfunc.Branin()
 	rng := rand.New(rand.NewSource(1))
 	b := New(f.Space, rng)
-	_, val, err := optimizer.Run(b, f.Eval, 40)
+	_, val, err := minimize(b, f.Eval, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestBOBeatsRandomOnSchedCurve(t *testing.T) {
 		rngR := rand.New(rand.NewSource(int64(100 + s)))
 		b := New(f.Space, rngB)
 		r := optimizer.NewRandom(f.Space, rngR)
-		_, bv, err := optimizer.Run(b, f.Eval, budget)
+		_, bv, err := minimize(b, f.Eval, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rv, err := optimizer.Run(r, f.Eval, budget)
+		_, rv, err := minimize(r, f.Eval, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestBOHandlesCrashValues(t *testing.T) {
 		return (x - 0.3) * (x - 0.3)
 	}
 	b := New(s, rand.New(rand.NewSource(3)))
-	cfg, val, err := optimizer.Run(b, f, 25)
+	cfg, val, err := minimize(b, f, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestBOCategoricalSpace(t *testing.T) {
 		return base + (c.Float("x")-0.5)*(c.Float("x")-0.5)
 	}
 	b := New(s, rand.New(rand.NewSource(4)))
-	cfg, _, err := optimizer.Run(b, f, 35)
+	cfg, _, err := minimize(b, f, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestBODedupsTinyDiscreteSpace(t *testing.T) {
 	s := space.MustNew(space.Int("n", 1, 3))
 	f := func(c space.Config) float64 { return float64(c.Int("n")) }
 	b := NewWith(s, rand.New(rand.NewSource(7)), Options{InitSamples: 2, Candidates: 64})
-	_, val, err := optimizer.Run(b, f, 10)
+	_, val, err := minimize(b, f, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestLogYOption(t *testing.T) {
 		return math.Exp(8*math.Abs(x-0.3)) - 2 // ranges from -1 to ~270
 	}
 	b := NewWith(s, rand.New(rand.NewSource(10)), Options{LogY: true, OneHot: true})
-	cfg, _, err := optimizer.Run(b, f, 30)
+	cfg, _, err := minimize(b, f, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,4 +298,11 @@ func TestSuggestNBeforeWarmupDone(t *testing.T) {
 	if err != nil || len(batch) != 3 {
 		t.Fatalf("batch %v err %v", batch, err)
 	}
+}
+
+// minimize drives o against f for the budget through the tuning loop and
+// returns the incumbent.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return rep.BestConfig, rep.BestValue, err
 }

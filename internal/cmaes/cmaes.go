@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"autotune/internal/linalg"
-	"autotune/internal/optimizer"
 	"autotune/internal/space"
 )
 
@@ -28,7 +27,6 @@ type Options struct {
 
 // CMAES implements optimizer.Optimizer and optimizer.BatchSuggester.
 type CMAES struct {
-	optimizer.Recorder
 	space *space.Space
 	rng   *rand.Rand
 
@@ -228,11 +226,8 @@ func (c *CMAES) SuggestN(n int) ([]space.Config, error) {
 
 // Observe implements optimizer.Optimizer. Observations are matched to the
 // pending generation by config identity; once λ arrive the distribution is
-// updated. Foreign observations (warm-start data) update only the incumbent.
+// updated. Foreign observations (warm-start data) change nothing.
 func (c *CMAES) Observe(cfg space.Config, value float64) error {
-	if err := c.Recorder.Observe(cfg, value); err != nil {
-		return err
-	}
 	if !c.genActive {
 		return nil
 	}

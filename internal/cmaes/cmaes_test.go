@@ -8,12 +8,13 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 )
 
 func TestCMAESOnSphere(t *testing.T) {
 	f := testfunc.Sphere(4)
 	c := New(f.Space, rand.New(rand.NewSource(1)))
-	_, val, err := optimizer.Run(c, f.Eval, 300)
+	_, val, err := minimize(c, f.Eval, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestCMAESOnSphere(t *testing.T) {
 func TestCMAESOnRosenbrock(t *testing.T) {
 	f := testfunc.Rosenbrock(3)
 	c := New(f.Space, rand.New(rand.NewSource(2)))
-	_, val, err := optimizer.Run(c, f.Eval, 600)
+	_, val, err := minimize(c, f.Eval, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func TestCMAESBeatsRandomOnRastrigin(t *testing.T) {
 	for i := 0; i < seeds; i++ {
 		c := New(f.Space, rand.New(rand.NewSource(int64(20+i))))
 		r := optimizer.NewRandom(f.Space, rand.New(rand.NewSource(int64(20+i))))
-		_, cv, err := optimizer.Run(c, f.Eval, budget)
+		_, cv, err := minimize(c, f.Eval, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rv, err := optimizer.Run(r, f.Eval, budget)
+		_, rv, err := minimize(r, f.Eval, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestCMAESSigmaAdapts(t *testing.T) {
 	f := testfunc.Sphere(2)
 	c := New(f.Space, rand.New(rand.NewSource(4)))
 	s0 := c.Sigma()
-	if _, _, err := optimizer.Run(c, f.Eval, 400); err != nil {
+	if _, _, err := minimize(c, f.Eval, 400); err != nil {
 		t.Fatal(err)
 	}
 	// Near convergence the step size should have shrunk.
@@ -124,17 +125,18 @@ func TestCMAESForeignObservations(t *testing.T) {
 	c := New(f.Space, rand.New(rand.NewSource(7)))
 	rng := rand.New(rand.NewSource(8))
 	// Warm-start observations that were never suggested.
+	s := trial.NewStudy(c, nil)
 	for i := 0; i < 5; i++ {
 		cfg := f.Space.Sample(rng)
-		if err := c.Observe(cfg, f.Eval(cfg)); err != nil {
+		if _, _, err := s.Observe([]trial.TrialRecord{{ID: i, Config: cfg, Value: f.Eval(cfg)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := c.Best(); !ok {
+	if _, ok := s.Best(); !ok {
 		t.Fatal("incumbent not tracked for foreign observations")
 	}
 	// Normal operation still works.
-	if _, _, err := optimizer.Run(c, f.Eval, 100); err != nil {
+	if _, _, err := minimize(c, f.Eval, 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,11 +156,18 @@ func TestCMAESMixedSpaceDecodes(t *testing.T) {
 		return v
 	}
 	c := New(sp, rand.New(rand.NewSource(9)))
-	cfg, val, err := optimizer.Run(c, f, 200)
+	cfg, val, err := minimize(c, f, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if val > 1 || cfg.Str("c") != "a" {
 		t.Fatalf("best = %v (%v)", cfg, val)
 	}
+}
+
+// minimize drives o against f for the budget through the tuning loop and
+// returns the incumbent.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return rep.BestConfig, rep.BestValue, err
 }

@@ -22,6 +22,7 @@ import (
 	"autotune/internal/space"
 	"autotune/internal/stats"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 	"autotune/internal/workload"
 )
 
@@ -67,7 +68,11 @@ func Run(id string, quick bool, seed int64) (Table, error) {
 	if !ok {
 		return Table{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
-	return r(quick, seed)
+	t, err := r(quick, seed)
+	if err != nil {
+		err = fmt.Errorf("experiments: %s: %w", id, err)
+	}
+	return t, err
 }
 
 // ---- shared helpers ----
@@ -84,36 +89,27 @@ func pick(quick bool, a, b int) int {
 	return b
 }
 
-// meanBestOver runs `make(seed)`-constructed optimizers against f for the
-// budget, over several seeds, and returns the mean best value.
-func meanBestOver(mk func(rng *rand.Rand) optimizer.Optimizer, f func(space.Config) float64, budget, seeds int, seed int64) float64 {
+// bestsOver runs `mk(seed)`-constructed optimizers against f for the
+// budget, over several seeds, and returns every seed's best value. A seed
+// whose run fails fails the figure, so no table averages over fewer seeds
+// than it says.
+func bestsOver(mk func(rng *rand.Rand) optimizer.Optimizer, f func(space.Config) float64, budget, seeds int, seed int64) ([]float64, error) {
 	vals := make([]float64, 0, seeds)
 	for s := 0; s < seeds; s++ {
-		rng := rand.New(rand.NewSource(seed + int64(s)*1009))
-		o := mk(rng)
-		_, best, err := optimizer.Run(o, f, budget)
+		sd := seed + int64(s)*1009
+		rep, err := trial.Run(mk(rand.New(rand.NewSource(sd))), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("seed %d: %w", sd, err)
 		}
-		vals = append(vals, best)
+		vals = append(vals, rep.BestValue)
 	}
-	return stats.Mean(vals)
+	return vals, nil
 }
 
-// bestsOver is meanBestOver but returns every seed's best value, for
-// experiments that report robustness (worst seed) as well as the mean.
-func bestsOver(mk func(rng *rand.Rand) optimizer.Optimizer, f func(space.Config) float64, budget, seeds int, seed int64) []float64 {
-	vals := make([]float64, 0, seeds)
-	for s := 0; s < seeds; s++ {
-		rng := rand.New(rand.NewSource(seed + int64(s)*1009))
-		o := mk(rng)
-		_, best, err := optimizer.Run(o, f, budget)
-		if err != nil {
-			continue
-		}
-		vals = append(vals, best)
-	}
-	return vals
+// meanBestOver is the mean of bestsOver.
+func meanBestOver(mk func(rng *rand.Rand) optimizer.Optimizer, f func(space.Config) float64, budget, seeds int, seed int64) (float64, error) {
+	vals, err := bestsOver(mk, f, budget, seeds, seed)
+	return stats.Mean(vals), err
 }
 
 // dbmsLatencyObjective returns a deterministic latency objective over the
@@ -145,16 +141,18 @@ func runF1(quick bool, seed int64) (Table, error) {
 		},
 	}
 	for _, budget := range []int{5, 10, 20, 50} {
-		g := optimizer.NewGridLevels(f.Space, budget)
-		_, gridBest, err := optimizer.Run(g, f.Eval, budget)
+		grid, err := trial.Run(optimizer.NewGridLevels(f.Space, budget), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
 		if err != nil {
 			return t, err
 		}
-		randBest := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+		randBest, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 			return optimizer.NewRandom(f.Space, rng)
 		}, f.Eval, budget, seeds, seed)
+		if err != nil {
+			return t, err
+		}
 		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(budget), fm(gridBest), fm(randBest), fm(f.Optimum),
+			strconv.Itoa(budget), fm(grid.BestValue), fm(randBest), fm(f.Optimum),
 		})
 	}
 	t.Notes = "Grid at 5-20 points misses the dip entirely (stays ~1.0 ms); random occasionally lands in it, so its mean beats grid at equal budget."
@@ -175,18 +173,23 @@ func runF2(quick bool, seed int64) (Table, error) {
 		Headers: []string{"budget", "bo-ei mean best (ms)", "random mean best (ms)", "grid best (ms)"},
 	}
 	for _, budget := range []int{10, 20, 40} {
-		boBest := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+		boBest, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 			return bo.New(f.Space, rng)
 		}, f.Eval, budget, seeds, seed)
-		randBest := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
-			return optimizer.NewRandom(f.Space, rng)
-		}, f.Eval, budget, seeds, seed)
-		g := optimizer.NewGridLevels(f.Space, budget)
-		_, gridBest, err := optimizer.Run(g, f.Eval, budget)
 		if err != nil {
 			return t, err
 		}
-		t.Rows = append(t.Rows, []string{strconv.Itoa(budget), fm(boBest), fm(randBest), fm(gridBest)})
+		randBest, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+			return optimizer.NewRandom(f.Space, rng)
+		}, f.Eval, budget, seeds, seed)
+		if err != nil {
+			return t, err
+		}
+		grid, err := trial.Run(optimizer.NewGridLevels(f.Space, budget), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
+		if err != nil {
+			return t, err
+		}
+		t.Rows = append(t.Rows, []string{strconv.Itoa(budget), fm(boBest), fm(randBest), fm(grid.BestValue)})
 	}
 	t.Notes = "BO's surrogate localizes the dip by ~20 trials; random needs many more; grid only wins once its spacing happens to straddle the dip."
 	return t, nil
@@ -221,10 +224,14 @@ func runF3(quick bool, seed int64) (Table, error) {
 		Headers: []string{"optimizer", "default ops/s", "tuned ops/s", "ratio"},
 	}
 	for _, name := range []string{"random", "smac", "bo"} {
-		best := -meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+		best, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 			o, _ := newByName(name, d.Space(), rng)
 			return o
 		}, obj, budget, seeds, seed)
+		if err != nil {
+			return t, err
+		}
+		best = -best
 		t.Rows = append(t.Rows, []string{
 			name, fmN(defM.ThroughputOps), fmN(best), fm(best / defM.ThroughputOps),
 		})
@@ -255,9 +262,12 @@ func runF4(quick bool, seed int64) (Table, error) {
 		}
 		return m.P95MS
 	}
-	best := meanBestOver(func(rr *rand.Rand) optimizer.Optimizer {
+	best, err := meanBestOver(func(rr *rand.Rand) optimizer.Optimizer {
 		return bo.New(r.Space(), rr)
 	}, obj, budget, seeds, seed)
+	if err != nil {
+		return Table{}, err
+	}
 	reduction := (defM.P95MS - best) / defM.P95MS * 100
 	t := Table{
 		ID:      "F4",
@@ -336,16 +346,22 @@ func runF6(quick bool, seed int64) (Table, error) {
 	for _, f := range []testfunc.Func{testfunc.Branin(), testfunc.Hartmann6()} {
 		row := []string{f.Name}
 		for _, acq := range []string{"pi", "ei", "lcb"} {
-			best := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+			best, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 				return bo.NewWith(f.Space, rng, bo.Options{
 					Acq: bo.ByName(acq), OneHot: true, RefineIters: 40, FitHyperEvery: 10,
 				})
 			}, f.Eval, budget, seeds, seed)
+			if err != nil {
+				return t, err
+			}
 			row = append(row, fm(best-f.Optimum))
 		}
-		best := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+		best, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 			return optimizer.NewRandom(f.Space, rng)
 		}, f.Eval, budget, seeds, seed)
+		if err != nil {
+			return t, err
+		}
 		row = append(row, fm(best-f.Optimum))
 		t.Rows = append(t.Rows, row)
 	}
@@ -385,10 +401,13 @@ func runF7(quick bool, seed int64) (Table, error) {
 	for _, p := range problems {
 		row := []string{p.name}
 		for _, n := range names {
-			best := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+			best, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 				o, _ := newByName(n, p.sp, rng)
 				return o
 			}, p.f, budget, seeds, seed)
+			if err != nil {
+				return t, err
+			}
 			row = append(row, fm(best))
 		}
 		t.Rows = append(t.Rows, row)
@@ -449,7 +468,10 @@ func runF8(quick bool, seed int64) (Table, error) {
 		}},
 	}
 	for _, s := range strategies {
-		best := meanBestOver(s.mk, obj, budget, seeds, seed)
+		best, err := meanBestOver(s.mk, obj, budget, seeds, seed)
+		if err != nil {
+			return t, err
+		}
 		t.Rows = append(t.Rows, []string{s.name, fm(best)})
 	}
 	t.Notes = "At this budget every informed strategy converges on this 4-knob subspace; the encoding choice mattered at smaller budgets and without stratified warm-up (ablation A2), where un-covered flush_method levels locked BO into slow categories."

@@ -150,7 +150,7 @@ func runF11(quick bool, seed int64) (Table, error) {
 		Claim:   "Encode cross-knob constraints (buffer_pool_chunk <= pool/instances style) instead of crashing into them (slide 60)",
 		Headers: []string{"strategy", "mean best latency (ms)", "mean crashed trials"},
 	}
-	run := func(sp *space.Space) (best, crashes float64) {
+	run := func(sp *space.Space) (best, crashes float64, err error) {
 		var bests, crs []float64
 		for s := 0; s < seeds; s++ {
 			rng := rand.New(rand.NewSource(seed + int64(s)*401))
@@ -158,15 +158,21 @@ func runF11(quick bool, seed int64) (Table, error) {
 			o := bo.New(sp, rng)
 			rep, err := trial.Run(o, env, trial.Options{Budget: budget})
 			if err != nil {
-				continue
+				return 0, 0, fmt.Errorf("seed %d: %w", seed+int64(s)*401, err)
 			}
 			bests = append(bests, rep.BestValue)
 			crs = append(crs, float64(rep.Crashes))
 		}
-		return stats.Mean(bests), stats.Mean(crs)
+		return stats.Mean(bests), stats.Mean(crs), nil
 	}
-	unconstrained, crashesU := run(d.Space())
-	constrained, crashesC := run(d.Space().WithConstraints(d.MemoryConstraint(wl.Clients)))
+	unconstrained, crashesU, err := run(d.Space())
+	if err != nil {
+		return t, err
+	}
+	constrained, crashesC, err := run(d.Space().WithConstraints(d.MemoryConstraint(wl.Clients)))
+	if err != nil {
+		return t, err
+	}
 	t.Rows = append(t.Rows, []string{"unconstrained (learns the cliff)", fm(unconstrained), fm(crashesU)})
 	t.Rows = append(t.Rows, []string{"declared constraint (rejection sampling)", fm(constrained), fm(crashesC)})
 	t.Notes = "Declaring the memory constraint eliminates crashed trials and spends the budget inside the feasible region; the unconstrained run burns trials crashing."
@@ -232,11 +238,11 @@ func runF12(quick bool, seed int64) (Table, error) {
 				}
 				return v
 			}
-			_, best, err := optimizer.Run(o, wrapped, budget)
+			rep, err := trial.Run(o, &trial.FuncEnv{F: wrapped}, trial.Options{Budget: budget})
 			if err != nil {
-				continue
+				return t, fmt.Errorf("%s seed %d: %w", s.name, seed+int64(sd)*733, err)
 			}
-			bests = append(bests, best)
+			bests = append(bests, rep.BestValue)
 			if math.IsNaN(firstHit) {
 				firstHit = float64(budget) * 2 // censored
 			}
@@ -317,7 +323,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 		rng := rand.New(rand.NewSource(seed + int64(s)*997))
 		// Build the prior store by tuning the source workload.
 		prior := bo.New(d.Space(), rng)
-		if _, _, err := optimizer.Run(prior, srcObj, priorBudget); err != nil {
+		if _, err := trial.Run(prior, &trial.FuncEnv{F: srcObj}, trial.Options{Budget: priorBudget}); err != nil {
 			return t, err
 		}
 		var rec transfer.Record
@@ -325,9 +331,9 @@ func runF14(quick bool, seed int64) (Table, error) {
 		for _, obs := range prior.History() {
 			rec.Trials = append(rec.Trials, transfer.Trial{Config: obs.Config, Value: obs.Value})
 		}
-		// trackMin wraps the destination objective so that only *destination*
-		// evaluations count toward the reported best — a warm-started
-		// optimizer's own Best() would include the replayed source scores.
+		// trackMin wraps the destination objective so that every
+		// destination evaluation counts toward the reported best, including
+		// the re-evaluated top configs that are observed outside the loop.
 		trackMin := func() (func(space.Config) float64, *float64) {
 			best := math.Inf(1)
 			return func(cfg space.Config) float64 {
@@ -341,7 +347,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 		// Cold start on the destination.
 		coldOpt := bo.New(d.Space(), rand.New(rand.NewSource(seed+int64(s)*997+1)))
 		coldF, coldBest := trackMin()
-		if _, _, err := optimizer.Run(coldOpt, coldF, budget); err != nil {
+		if _, err := trial.Run(coldOpt, &trial.FuncEnv{F: coldF}, trial.Options{Budget: budget}); err != nil {
 			return t, err
 		}
 		cold = append(cold, *coldBest)
@@ -362,7 +368,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 				return t, err
 			}
 		}
-		if _, _, err := optimizer.Run(warmOpt, warmF, budget-len(top)); err != nil {
+		if _, err := trial.Run(warmOpt, &trial.FuncEnv{F: warmF}, trial.Options{Budget: budget - len(top)}); err != nil {
 			return t, err
 		}
 		warm = append(warm, *warmBest)
@@ -383,7 +389,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 				return t, err
 			}
 		}
-		if _, _, err := optimizer.Run(farOpt, farF, budget-len(topFar)); err != nil {
+		if _, err := trial.Run(farOpt, &trial.FuncEnv{F: farF}, trial.Options{Budget: budget - len(topFar)}); err != nil {
 			return t, err
 		}
 		warmFar = append(warmFar, *farBest)

@@ -87,12 +87,18 @@ func runF15(quick bool, seed int64) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	narrowBest := meanBestOver(func(r *rand.Rand) optimizer.Optimizer {
+	narrowBest, err := meanBestOver(func(r *rand.Rand) optimizer.Optimizer {
 		return bo.New(sub, r)
 	}, func(c space.Config) float64 { return obj(complete(c)) }, budget, seeds, seed)
-	fullBest := meanBestOver(func(r *rand.Rand) optimizer.Optimizer {
+	if err != nil {
+		return t, err
+	}
+	fullBest, err := meanBestOver(func(r *rand.Rand) optimizer.Optimizer {
 		return bo.New(d.Space(), r)
 	}, obj, budget, seeds, seed)
+	if err != nil {
+		return t, err
+	}
 	t.Rows = append(t.Rows, []string{fmt.Sprintf("tune top-7 only (%d trials)", budget), fm(narrowBest), "-"})
 	t.Rows = append(t.Rows, []string{fmt.Sprintf("tune all 21 knobs (%d trials)", budget), fm(fullBest), "-"})
 	t.Notes = "Both rankers recover most ground-truth knobs; tuning just the top-7 (of 21) stays within striking distance of full-space tuning while shrinking the space 3x."
@@ -196,11 +202,11 @@ func runF17(quick bool, seed int64) (Table, error) {
 				}
 				return v
 			}
-			bestCfg, _, err := optimizer.Run(o, wrapped, budget)
+			rep, err := trial.Run(o, &trial.FuncEnv{F: wrapped}, trial.Options{Budget: budget})
 			if err != nil {
-				continue
+				return t, fmt.Errorf("%s seed %d: %w", s.name, seed+int64(sd)*307, err)
 			}
-			truth := fleet.TrueScore(bestCfg)
+			truth := fleet.TrueScore(rep.BestConfig)
 			if math.IsInf(truth, 0) {
 				truth = 1e6
 			}
@@ -468,20 +474,17 @@ func runF20(quick bool, seed int64) (Table, error) {
 	synthObj := dbmsLatencyObjective(d, synth)
 
 	// Tune on the synthetic benchmark, deploy the pick to production.
-	o := smac.New(d.Space(), rng)
-	bestSynth, _, err := optimizer.Run(o, synthObj, budget)
+	tuned, err := trial.Run(smac.New(d.Space(), rng), &trial.FuncEnv{F: synthObj}, trial.Options{Budget: budget})
 	if err != nil {
 		return Table{}, err
 	}
-	deployed := prodObj(bestSynth)
+	deployed := prodObj(tuned.BestConfig)
 	// Oracle: tune directly on production (privacy/side effects forbid
 	// this in reality — that is the slide's point).
-	o2 := smac.New(d.Space(), rand.New(rand.NewSource(seed+1)))
-	bestProd, oracle, err := optimizer.Run(o2, prodObj, budget)
+	oracle, err := trial.Run(smac.New(d.Space(), rand.New(rand.NewSource(seed+1))), &trial.FuncEnv{F: prodObj}, trial.Options{Budget: budget})
 	if err != nil {
 		return Table{}, err
 	}
-	_ = bestProd
 	defLat := prodObj(d.Space().Default())
 
 	t := Table{
@@ -492,7 +495,7 @@ func runF20(quick bool, seed int64) (Table, error) {
 		Rows: [][]string{
 			{"default", fm(defLat)},
 			{fmt.Sprintf("tuned on synthetic mix %v", roundSlice(weights)), fm(deployed)},
-			{"oracle: tuned on production directly", fm(oracle)},
+			{"oracle: tuned on production directly", fm(oracle.BestValue)},
 		},
 	}
 	t.Notes = "The recovered mixture is close enough that the config tuned on the synthetic benchmark captures most of the oracle's improvement without ever touching production."

@@ -158,15 +158,21 @@ func runF22(quick bool, seed int64) (Table, error) {
 		Headers: []string{"strategy", fmt.Sprintf("mean best latency after %d trials (ms)", budget)},
 	}
 	// (a) Uninformed BO over all 21 knobs.
-	cold := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+	cold, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 		return bo.New(d.Space(), rng)
 	}, obj, budget, seeds, seed)
+	if err != nil {
+		return t, err
+	}
 	t.Rows = append(t.Rows, []string{"bo, full space, no priors", fm(cold)})
 	// (b) Manual-informed: start from the documented config, tune only the
 	// manual's top-8 knobs.
-	informed := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
+	informed, err := meanBestOver(func(rng *rand.Rand) optimizer.Optimizer {
 		return bo.New(sub, rng)
 	}, func(c space.Config) float64 { return obj(complete(c)) }, budget, seeds, seed)
+	if err != nil {
+		return t, err
+	}
 	t.Rows = append(t.Rows, []string{"bo, manual top-8 + documented ranges", fm(informed)})
 	// (c) The documented config alone, no tuning.
 	t.Rows = append(t.Rows, []string{"documented config, no tuning", fm(obj(seeded))})

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -24,7 +29,53 @@ func runQuick(t *testing.T, id string) Table {
 			t.Fatalf("%s: row width %d != header width %d (%v)", id, len(row), len(tab.Headers), row)
 		}
 	}
+	checkQuickGolden(t, tab)
 	return tab
+}
+
+// checkQuickGolden compares tab's rows with its lines in
+// testdata/quick.golden, one "ID | cell | cell ..." line per row, so a
+// failure names the figure that moved. `UPDATE=1 go test
+// ./internal/experiments` rewrites them; do that only when a behaviour
+// change is the point. Pinned on amd64 only: fused multiply-add changes
+// low bits elsewhere.
+func checkQuickGolden(t *testing.T, tab Table) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	path := filepath.Join("testdata", "quick.golden")
+	update := os.Getenv("UPDATE") == "1"
+	data, err := os.ReadFile(path)
+	if err != nil && !(update && os.IsNotExist(err)) {
+		t.Fatalf("missing golden file (regenerate with UPDATE=1): %v", err)
+	}
+	lines := map[string][]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if id, _, ok := strings.Cut(line, " | "); ok {
+			lines[id] = append(lines[id], line)
+		}
+	}
+	var got []string
+	for _, row := range tab.Rows {
+		got = append(got, tab.ID+" | "+strings.Join(row, " | "))
+	}
+	if !update {
+		if want := lines[tab.ID]; !slices.Equal(got, want) {
+			t.Fatalf("%s moved from %s:\n--- got\n%s\n--- want\n%s", tab.ID, path, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		return
+	}
+	lines[tab.ID] = got
+	var out strings.Builder
+	for _, id := range IDs() {
+		for _, line := range lines[id] {
+			out.WriteString(line + "\n")
+		}
+	}
+	if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func cell(t *testing.T, tab Table, row, col int) float64 {

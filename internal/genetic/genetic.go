@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 
-	"autotune/internal/optimizer"
 	"autotune/internal/space"
 )
 
@@ -66,7 +65,6 @@ type individual struct {
 
 // GA implements optimizer.Optimizer and optimizer.BatchSuggester.
 type GA struct {
-	optimizer.Recorder
 	space *space.Space
 	rng   *rand.Rand
 	opts  Options
@@ -74,6 +72,10 @@ type GA struct {
 	pop     []*individual
 	nextIdx int
 	gen     int
+	// best is the incumbent: the first observation, then each strictly
+	// lower one; nil before any.
+	best    space.Config
+	bestVal float64
 }
 
 // New returns a GA with default options.
@@ -113,11 +115,10 @@ func (g *GA) Suggest() (space.Config, error) {
 		}
 	}
 	// All evaluated (callers raced ahead): return a mutant of the best.
-	best, _, ok := g.Best()
-	if !ok {
+	if g.best == nil {
 		return g.space.Sample(g.rng), nil
 	}
-	return g.space.Neighbor(best, g.opts.MutationScale, g.rng), nil
+	return g.space.Neighbor(g.best, g.opts.MutationScale, g.rng), nil
 }
 
 // SuggestN implements optimizer.BatchSuggester.
@@ -136,8 +137,8 @@ func (g *GA) SuggestN(n int) ([]space.Config, error) {
 // Observe implements optimizer.Optimizer; a full generation triggers
 // selection and breeding.
 func (g *GA) Observe(cfg space.Config, value float64) error {
-	if err := g.Recorder.Observe(cfg, value); err != nil {
-		return err
+	if g.best == nil || value < g.bestVal {
+		g.best, g.bestVal = cfg, value
 	}
 	key := cfg.Key()
 	done := 0

@@ -8,12 +8,13 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 )
 
 func TestGAOnSphere(t *testing.T) {
 	f := testfunc.Sphere(4)
 	g := New(f.Space, rand.New(rand.NewSource(1)))
-	_, val, err := optimizer.Run(g, f.Eval, 500)
+	_, val, err := minimize(g, f.Eval, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestGAMixedSpace(t *testing.T) {
 		return v
 	}
 	g := New(sp, rand.New(rand.NewSource(2)))
-	cfg, val, err := optimizer.Run(g, f, 600)
+	cfg, val, err := minimize(g, f, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +62,11 @@ func TestGAMixedSpace(t *testing.T) {
 
 func TestGAElitePreservesBest(t *testing.T) {
 	f := testfunc.Sphere(2)
-	g := New(f.Space, rand.New(rand.NewSource(3)))
-	var bests []float64
-	for i := 0; i < 300; i++ {
-		cfg, err := g.Suggest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Observe(cfg, f.Eval(cfg))
-		if _, v, ok := g.Best(); ok {
-			bests = append(bests, v)
-		}
+	rep, err := trial.Run(New(f.Space, rand.New(rand.NewSource(3))), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: 300})
+	if err != nil {
+		t.Fatal(err)
 	}
+	bests := rep.BestOverTime()
 	// Incumbent must be monotone non-increasing.
 	for i := 1; i < len(bests); i++ {
 		if bests[i] > bests[i-1]+1e-12 {
@@ -128,4 +122,11 @@ func TestGAFirstIsDefault(t *testing.T) {
 	if cfg.Float("x") != 0.123 {
 		t.Fatal("first suggestion should be default")
 	}
+}
+
+// minimize drives o against f for the budget through the tuning loop and
+// returns the incumbent.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return rep.BestConfig, rep.BestValue, err
 }

@@ -8,7 +8,6 @@ package optimizer
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -20,15 +19,16 @@ import (
 //
 // The protocol is: Suggest a configuration, evaluate it externally, Observe
 // the result, repeat. Implementations may tolerate out-of-order or missing
-// observations unless documented otherwise.
+// observations unless documented otherwise. The history and the incumbent
+// belong to the loop that drives the strategy (trial.Study); a strategy
+// keeps only what it reads.
 type Optimizer interface {
 	// Suggest proposes the next configuration to evaluate.
 	Suggest() (space.Config, error)
-	// Observe reports the measured objective for a configuration.
+	// Observe reports the measured objective for a configuration. The
+	// strategy may keep cfg without copying it, so the caller must not
+	// modify it afterwards.
 	Observe(cfg space.Config, value float64) error
-	// Best returns the incumbent (best observed) configuration and value;
-	// ok is false before any observation.
-	Best() (cfg space.Config, value float64, ok bool)
 	// Name identifies the algorithm for reports.
 	Name() string
 }
@@ -51,45 +51,9 @@ type Observation struct {
 	Value  float64
 }
 
-// Recorder tracks observations and the incumbent. Embed it to satisfy the
-// Observe/Best half of the Optimizer interface.
-type Recorder struct {
-	history   []Observation
-	bestCfg   space.Config
-	bestValue float64
-	hasBest   bool
-}
-
-// Observe implements Optimizer.
-func (r *Recorder) Observe(cfg space.Config, value float64) error {
-	r.history = append(r.history, Observation{Config: cfg.Clone(), Value: value})
-	if !r.hasBest || value < r.bestValue {
-		r.bestCfg = cfg.Clone()
-		r.bestValue = value
-		r.hasBest = true
-	}
-	return nil
-}
-
-// Best implements Optimizer.
-func (r *Recorder) Best() (space.Config, float64, bool) {
-	if !r.hasBest {
-		return nil, math.Inf(1), false
-	}
-	return r.bestCfg.Clone(), r.bestValue, true
-}
-
-// History returns all observations in arrival order. The slice is live;
-// callers must not modify it.
-func (r *Recorder) History() []Observation { return r.history }
-
-// N returns the number of observations so far.
-func (r *Recorder) N() int { return len(r.history) }
-
 // Random is uniform random search: each Suggest draws an independent sample
 // from the space (log-uniform on log-scaled parameters).
 type Random struct {
-	Recorder
 	space *space.Space
 	rng   *rand.Rand
 }
@@ -109,13 +73,15 @@ func (o *Random) SuggestN(n int) ([]space.Config, error) {
 	return o.space.SampleN(o.rng, n), nil
 }
 
+// Observe implements Optimizer; random search reads no history.
+func (o *Random) Observe(space.Config, float64) error { return nil }
+
 // Name implements Optimizer.
 func (o *Random) Name() string { return "random" }
 
 // Grid is deterministic grid search over a fixed budgeted grid; Suggest
 // returns ErrExhausted once every point has been proposed.
 type Grid struct {
-	Recorder
 	points []space.Config
 	next   int
 }
@@ -161,6 +127,9 @@ func (o *Grid) SuggestN(n int) ([]space.Config, error) {
 	return out, nil
 }
 
+// Observe implements Optimizer; the grid's order ignores results.
+func (o *Grid) Observe(space.Config, float64) error { return nil }
+
 // Size returns the total number of grid points.
 func (o *Grid) Size() int { return len(o.points) }
 
@@ -171,7 +140,6 @@ func (o *Grid) Name() string { return "grid" }
 // that always accepts improvements and accepts regressions with probability
 // exp(-Δ/T), with geometrically cooling temperature T.
 type Anneal struct {
-	Recorder
 	space *space.Space
 	rng   *rand.Rand
 
@@ -182,11 +150,10 @@ type Anneal struct {
 	// StepScale is the neighbourhood size in unit-cube units (default 0.1).
 	StepScale float64
 
-	cur     space.Config
-	curVal  float64
-	hasCur  bool
-	pending space.Config
-	step    int
+	cur    space.Config
+	curVal float64
+	hasCur bool
+	step   int
 }
 
 // NewAnneal returns a simulated-annealing optimizer over s with default
@@ -199,27 +166,22 @@ func NewAnneal(s *space.Space, rng *rand.Rand) *Anneal {
 // later ones perturb the current state.
 func (o *Anneal) Suggest() (space.Config, error) {
 	if !o.hasCur {
-		o.pending = o.space.Default()
-	} else {
-		o.pending = o.space.Neighbor(o.cur, o.StepScale, o.rng)
+		return o.space.Default(), nil
 	}
-	return o.pending.Clone(), nil
+	return o.space.Neighbor(o.cur, o.StepScale, o.rng), nil
 }
 
 // Observe implements Optimizer with Metropolis acceptance.
 func (o *Anneal) Observe(cfg space.Config, value float64) error {
-	if err := o.Recorder.Observe(cfg, value); err != nil {
-		return err
-	}
 	if !o.hasCur {
-		o.cur, o.curVal, o.hasCur = cfg.Clone(), value, true
+		o.cur, o.curVal, o.hasCur = cfg, value, true
 		return nil
 	}
 	delta := value - o.curVal
 	temp := o.Temp0 * math.Pow(o.Cooling, float64(o.step))
 	o.step++
 	if delta <= 0 || (temp > 0 && o.rng.Float64() < math.Exp(-delta/temp)) {
-		o.cur, o.curVal = cfg.Clone(), value
+		o.cur, o.curVal = cfg, value
 	}
 	return nil
 }
@@ -237,7 +199,6 @@ func (o *Anneal) Name() string { return "anneal" }
 // values of the active parameter while holding the incumbent fixed, and
 // keeps the best.
 type Coordinate struct {
-	Recorder
 	space *space.Space
 	rng   *rand.Rand
 
@@ -247,6 +208,8 @@ type Coordinate struct {
 
 	cur      space.Config
 	hasCur   bool
+	best     space.Config // incumbent: the first observation, then each strictly lower one
+	bestVal  float64
 	paramIdx int
 	levelIdx int
 }
@@ -288,42 +251,14 @@ func (o *Coordinate) Suggest() (space.Config, error) {
 
 // Observe implements Optimizer; the incumbent advances greedily.
 func (o *Coordinate) Observe(cfg space.Config, value float64) error {
-	if err := o.Recorder.Observe(cfg, value); err != nil {
-		return err
+	if !o.hasCur || value < o.bestVal {
+		o.best, o.bestVal = cfg, value
 	}
-	if !o.hasCur {
-		o.cur, o.hasCur = cfg.Clone(), true
-		return nil
-	}
-	if best, bestVal, ok := o.Best(); ok && bestVal >= value {
-		o.cur = best
+	if !o.hasCur || o.bestVal >= value {
+		o.cur, o.hasCur = o.best, true
 	}
 	return nil
 }
 
 // Name implements Optimizer.
 func (o *Coordinate) Name() string { return "coordinate" }
-
-// Run drives an optimizer against objective f for `budget` evaluations and
-// returns the best configuration and value. It stops early on ErrExhausted.
-// It is the minimal tuning loop; internal/trial provides the full-featured
-// one (parallelism, early abort, noise policies).
-func Run(o Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
-	for i := 0; i < budget; i++ {
-		cfg, err := o.Suggest()
-		if errors.Is(err, ErrExhausted) {
-			break
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("suggest %d: %w", i, err)
-		}
-		if err := o.Observe(cfg, f(cfg)); err != nil {
-			return nil, 0, fmt.Errorf("observe %d: %w", i, err)
-		}
-	}
-	cfg, val, ok := o.Best()
-	if !ok {
-		return nil, 0, errors.New("optimizer: no observations")
-	}
-	return cfg, val, nil
-}

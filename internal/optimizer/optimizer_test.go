@@ -1,4 +1,4 @@
-package optimizer
+package optimizer_test
 
 import (
 	"errors"
@@ -6,53 +6,27 @@ import (
 	"math/rand"
 	"testing"
 
+	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 )
 
-func TestRecorderBest(t *testing.T) {
-	var r Recorder
-	if _, _, ok := r.Best(); ok {
-		t.Fatal("Best before observations should be !ok")
-	}
-	r.Observe(space.Config{"x": 1.0}, 5)
-	r.Observe(space.Config{"x": 2.0}, 3)
-	r.Observe(space.Config{"x": 3.0}, 7)
-	cfg, v, ok := r.Best()
-	if !ok || v != 3 || cfg.Float("x") != 2 {
-		t.Fatalf("Best = %v %v %v", cfg, v, ok)
-	}
-	if r.N() != 3 || len(r.History()) != 3 {
-		t.Fatal("history wrong")
-	}
-	// Best returns a copy.
-	cfg["x"] = 99.0
-	cfg2, _, _ := r.Best()
-	if cfg2.Float("x") != 2 {
-		t.Fatal("Best aliases internal state")
-	}
-}
-
-func TestRecorderClonesObserved(t *testing.T) {
-	var r Recorder
-	cfg := space.Config{"x": 1.0}
-	r.Observe(cfg, 1)
-	cfg["x"] = 42.0
-	if r.History()[0].Config.Float("x") != 1 {
-		t.Fatal("Observe did not clone config")
-	}
+// minimize drives o against f for the budget through the tuning loop.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (trial.Report, error) {
+	return trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 }
 
 func TestRandomSearchFindsDecentSphere(t *testing.T) {
 	f := testfunc.Sphere(2)
 	rng := rand.New(rand.NewSource(1))
-	o := NewRandom(f.Space, rng)
-	_, val, err := Run(o, f.Eval, 200)
+	o := optimizer.NewRandom(f.Space, rng)
+	rep, err := minimize(o, f.Eval, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val > 5 {
-		t.Fatalf("random search best = %v", val)
+	if rep.BestValue > 5 {
+		t.Fatalf("random search best = %v", rep.BestValue)
 	}
 	if o.Name() != "random" {
 		t.Fatal("name")
@@ -61,7 +35,7 @@ func TestRandomSearchFindsDecentSphere(t *testing.T) {
 
 func TestRandomSuggestN(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1))
-	o := NewRandom(s, rand.New(rand.NewSource(2)))
+	o := optimizer.NewRandom(s, rand.New(rand.NewSource(2)))
 	batch, err := o.SuggestN(5)
 	if err != nil || len(batch) != 5 {
 		t.Fatalf("batch = %v, %v", batch, err)
@@ -70,7 +44,7 @@ func TestRandomSuggestN(t *testing.T) {
 
 func TestGridExhausts(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1), space.Categorical("c", "a", "b"))
-	o := NewGridLevels(s, 3) // 3 * 2 = 6 points
+	o := optimizer.NewGridLevels(s, 3) // 3 * 2 = 6 points
 	if o.Size() != 6 {
 		t.Fatalf("size = %d", o.Size())
 	}
@@ -85,19 +59,19 @@ func TestGridExhausts(t *testing.T) {
 	if len(seen) != 6 {
 		t.Fatalf("distinct points = %d", len(seen))
 	}
-	if _, err := o.Suggest(); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
+	if _, err := o.Suggest(); !errors.Is(err, optimizer.ErrExhausted) {
+		t.Fatalf("err = %v, want optimizer.ErrExhausted", err)
 	}
 }
 
 func TestGridSuggestNPartial(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1))
-	o := NewGridLevels(s, 3)
+	o := optimizer.NewGridLevels(s, 3)
 	batch, err := o.SuggestN(10)
 	if err != nil || len(batch) != 3 {
 		t.Fatalf("batch %d, err %v", len(batch), err)
 	}
-	if _, err := o.SuggestN(2); !errors.Is(err, ErrExhausted) {
+	if _, err := o.SuggestN(2); !errors.Is(err, optimizer.ErrExhausted) {
 		t.Fatal("want exhausted")
 	}
 }
@@ -105,27 +79,26 @@ func TestGridSuggestNPartial(t *testing.T) {
 func TestGridFindsOptimumOnCurve(t *testing.T) {
 	// On the sched curve with enough levels, grid finds the dip region.
 	f := testfunc.SchedMigrationCurve()
-	o := NewGridLevels(f.Space, 101)
-	_, val, err := Run(o, f.Eval, 101)
+	o := optimizer.NewGridLevels(f.Space, 101)
+	rep, err := minimize(o, f.Eval, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val > 0.45 {
-		t.Fatalf("dense grid best = %v, should find the dip", val)
+	if rep.BestValue > 0.45 {
+		t.Fatalf("dense grid best = %v, should find the dip", rep.BestValue)
 	}
 	// With only 5 levels the dip is missed.
-	o2 := NewGridLevels(f.Space, 5)
-	_, val2, _ := Run(o2, f.Eval, 5)
-	if val2 < 0.6 {
-		t.Fatalf("coarse grid best = %v, should miss the dip", val2)
+	rep2, _ := minimize(optimizer.NewGridLevels(f.Space, 5), f.Eval, 5)
+	if rep2.BestValue < 0.6 {
+		t.Fatalf("coarse grid best = %v, should miss the dip", rep2.BestValue)
 	}
 }
 
 func TestRunBudgetAndErrExhausted(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1))
-	o := NewGridLevels(s, 3)
+	o := optimizer.NewGridLevels(s, 3)
 	calls := 0
-	_, _, err := Run(o, func(space.Config) float64 { calls++; return 0 }, 100)
+	_, err := minimize(o, func(space.Config) float64 { calls++; return 0 }, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +109,10 @@ func TestRunBudgetAndErrExhausted(t *testing.T) {
 
 func TestRunNoObservations(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1))
-	o := NewGridLevels(s, 1)
+	o := optimizer.NewGridLevels(s, 1)
 	// Exhaust the grid first.
 	o.Suggest()
-	if _, _, err := Run(o, func(space.Config) float64 { return 0 }, 5); err == nil {
+	if _, err := minimize(o, func(space.Config) float64 { return 0 }, 5); err == nil {
 		t.Fatal("expected error with zero observations")
 	}
 }
@@ -154,24 +127,24 @@ func TestAnnealImprovesOverStart(t *testing.T) {
 		return c.Float("a")*c.Float("a") + c.Float("b")*c.Float("b") + c.Float("c")*c.Float("c")
 	}
 	rng := rand.New(rand.NewSource(3))
-	o := NewAnneal(s, rng)
+	o := optimizer.NewAnneal(s, rng)
 	o.StepScale = 0.15
 	start := eval(s.Default())
-	_, best, err := Run(o, eval, 300)
+	rep, err := minimize(o, eval, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best >= start {
-		t.Fatalf("anneal best %v did not improve on start %v", best, start)
+	if rep.BestValue >= start {
+		t.Fatalf("anneal best %v did not improve on start %v", rep.BestValue, start)
 	}
-	if best > 2 {
-		t.Fatalf("anneal best = %v, too poor", best)
+	if rep.BestValue > 2 {
+		t.Fatalf("anneal best = %v, too poor", rep.BestValue)
 	}
 }
 
 func TestAnnealTemperatureCools(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1))
-	o := NewAnneal(s, rand.New(rand.NewSource(4)))
+	o := optimizer.NewAnneal(s, rand.New(rand.NewSource(4)))
 	t0 := o.Temperature()
 	for i := 0; i < 10; i++ {
 		cfg, _ := o.Suggest()
@@ -184,7 +157,7 @@ func TestAnnealTemperatureCools(t *testing.T) {
 
 func TestAnnealFirstSuggestionIsDefault(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1).WithDefault(0.7))
-	o := NewAnneal(s, rand.New(rand.NewSource(5)))
+	o := optimizer.NewAnneal(s, rand.New(rand.NewSource(5)))
 	cfg, err := o.Suggest()
 	if err != nil {
 		t.Fatal(err)
@@ -200,14 +173,14 @@ func TestCoordinateDescentQuadratic(t *testing.T) {
 	f := func(c space.Config) float64 {
 		return (c.Float("a")-2.5)*(c.Float("a")-2.5) + (c.Float("b")+2.5)*(c.Float("b")+2.5)
 	}
-	o := NewCoordinate(s, rand.New(rand.NewSource(6)))
+	o := optimizer.NewCoordinate(s, rand.New(rand.NewSource(6)))
 	o.LevelsPerParam = 11
-	_, best, err := Run(o, f, 50)
+	rep, err := minimize(o, f, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best > 0.5 {
-		t.Fatalf("coordinate best = %v", best)
+	if rep.BestValue > 0.5 {
+		t.Fatalf("coordinate best = %v", rep.BestValue)
 	}
 	if o.Name() != "coordinate" {
 		t.Fatal("name")
@@ -223,33 +196,34 @@ func TestCoordinateHandlesCategorical(t *testing.T) {
 		}
 		return v + 10
 	}
-	o := NewCoordinate(s, rand.New(rand.NewSource(7)))
-	cfg, best, err := Run(o, f, 40)
+	o := optimizer.NewCoordinate(s, rand.New(rand.NewSource(7)))
+	rep, err := minimize(o, f, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Str("c") != "good" {
-		t.Fatalf("best cfg = %v (val %v)", cfg, best)
+	if rep.BestConfig.Str("c") != "good" {
+		t.Fatalf("best cfg = %v (val %v)", rep.BestConfig, rep.BestValue)
 	}
 }
 
 func TestObserveToleratesUnsuggested(t *testing.T) {
 	// Optimizers must accept observations they did not suggest (for warm
-	// starting / transfer).
+	// starting / transfer), and the study around them records the incumbent.
 	f := testfunc.Sphere(2)
 	rng := rand.New(rand.NewSource(8))
-	opts := []Optimizer{
-		NewRandom(f.Space, rng),
-		NewGrid(f.Space, 9),
-		NewAnneal(f.Space, rng),
-		NewCoordinate(f.Space, rng),
+	opts := []optimizer.Optimizer{
+		optimizer.NewRandom(f.Space, rng),
+		optimizer.NewGrid(f.Space, 9),
+		optimizer.NewAnneal(f.Space, rng),
+		optimizer.NewCoordinate(f.Space, rng),
 	}
 	for _, o := range opts {
 		cfg := f.Space.Sample(rng)
-		if err := o.Observe(cfg, f.Eval(cfg)); err != nil {
+		s := trial.NewStudy(o, nil)
+		if _, _, err := s.Observe([]trial.TrialRecord{{Config: cfg, Value: f.Eval(cfg)}}); err != nil {
 			t.Fatalf("%s: %v", o.Name(), err)
 		}
-		if _, _, ok := o.Best(); !ok {
+		if _, ok := s.Best(); !ok {
 			t.Fatalf("%s: Best not set after Observe", o.Name())
 		}
 	}
@@ -258,18 +232,18 @@ func TestObserveToleratesUnsuggested(t *testing.T) {
 func TestBestIsMinimum(t *testing.T) {
 	f := testfunc.Branin()
 	rng := rand.New(rand.NewSource(9))
-	o := NewRandom(f.Space, rng)
-	_, best, err := Run(o, f.Eval, 100)
+	o := optimizer.NewRandom(f.Space, rng)
+	rep, err := minimize(o, f.Eval, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	minSeen := math.Inf(1)
-	for _, obs := range o.History() {
-		if obs.Value < minSeen {
-			minSeen = obs.Value
+	for _, tr := range rep.Trials {
+		if tr.Value < minSeen {
+			minSeen = tr.Value
 		}
 	}
-	if best != minSeen {
-		t.Fatalf("Best %v != min history %v", best, minSeen)
+	if rep.BestValue != minSeen {
+		t.Fatalf("Best %v != min history %v", rep.BestValue, minSeen)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"autotune/internal/bo"
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
+	"autotune/internal/trial"
 )
 
 // wideSpace builds a d-dimensional space where only two dims matter.
@@ -129,13 +130,13 @@ func TestLowDimTuningFindsOptimum(t *testing.T) {
 		}
 		opt := bo.New(h.LowSpace(), rng)
 		obj := h.Objective(wideObjective, nil)
-		_, lowBest, err := optimizer.Run(opt, obj, 30)
+		_, lowBest, err := minimize(opt, obj, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Full-space random search with the same budget.
 		rd := optimizer.NewRandom(full, rand.New(rand.NewSource(int64(50+s))))
-		_, rdBest, err := optimizer.Run(rd, wideObjective, 30)
+		_, rdBest, err := minimize(rd, wideObjective, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,4 +165,11 @@ func TestObjectiveSink(t *testing.T) {
 	if err := full.Validate(gotFull); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// minimize drives o against f for the budget through the tuning loop and
+// returns the incumbent.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return rep.BestConfig, rep.BestValue, err
 }

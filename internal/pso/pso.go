@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 
-	"autotune/internal/optimizer"
 	"autotune/internal/space"
 )
 
@@ -62,7 +61,6 @@ type particle struct {
 
 // PSO implements optimizer.Optimizer and optimizer.BatchSuggester.
 type PSO struct {
-	optimizer.Recorder
 	space *space.Space
 	rng   *rand.Rand
 	opts  Options
@@ -134,9 +132,6 @@ func (p *PSO) SuggestN(n int) ([]space.Config, error) {
 // Observe implements optimizer.Optimizer. When every particle in the swarm
 // has been evaluated this iteration, velocities and positions advance.
 func (p *PSO) Observe(cfg space.Config, value float64) error {
-	if err := p.Recorder.Observe(cfg, value); err != nil {
-		return err
-	}
 	key := cfg.Key()
 	matched := false
 	for _, pt := range p.particles {

@@ -7,12 +7,13 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 )
 
 func TestPSOOnSphere(t *testing.T) {
 	f := testfunc.Sphere(4)
 	p := New(f.Space, rand.New(rand.NewSource(1)))
-	_, val, err := optimizer.Run(p, f.Eval, 400)
+	_, val, err := minimize(p, f.Eval, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +35,11 @@ func TestPSOBeatsRandomOnAckley(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p := New(f.Space, rand.New(rand.NewSource(int64(30+i))))
 		r := optimizer.NewRandom(f.Space, rand.New(rand.NewSource(int64(30+i))))
-		_, pv, err := optimizer.Run(p, f.Eval, budget)
+		_, pv, err := minimize(p, f.Eval, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rv, err := optimizer.Run(r, f.Eval, budget)
+		_, rv, err := minimize(r, f.Eval, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,15 +66,15 @@ func TestPSOSeedsDefault(t *testing.T) {
 func TestPSOForeignObservation(t *testing.T) {
 	f := testfunc.Sphere(2)
 	p := New(f.Space, rand.New(rand.NewSource(3)))
-	cfg := f.Space.Default()
-	if err := p.Observe(cfg, -100); err != nil { // better than anything
+	s := trial.NewStudy(p, nil)
+	if _, _, err := s.Observe([]trial.TrialRecord{{Config: f.Space.Default(), Value: -100}}); err != nil { // better than anything
 		t.Fatal(err)
 	}
-	if _, v, ok := p.Best(); !ok || v != -100 {
+	if best, ok := s.Best(); !ok || best.Value != -100 {
 		t.Fatal("foreign observation not recorded")
 	}
 	// Still optimizes fine afterwards.
-	if _, _, err := optimizer.Run(p, f.Eval, 100); err != nil {
+	if _, _, err := minimize(p, f.Eval, 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,4 +92,11 @@ func TestPSOPositionsStayInCube(t *testing.T) {
 		}
 		p.Observe(cfg, f.Eval(cfg))
 	}
+}
+
+// minimize drives o against f for the budget through the tuning loop and
+// returns the incumbent.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return rep.BestConfig, rep.BestValue, err
 }

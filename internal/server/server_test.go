@@ -311,8 +311,7 @@ func (p panicOptimizer) Observe(space.Config, float64) error {
 	}
 	return nil
 }
-func (p panicOptimizer) Best() (space.Config, float64, bool) { return nil, 0, false }
-func (p panicOptimizer) Name() string                        { return "panic" }
+func (p panicOptimizer) Name() string { return "panic" }
 
 // TestRecoveredSessionHoldsTypedConfigs: the store's decoder hands back
 // every number as float64; recovery must leave the session holding what a

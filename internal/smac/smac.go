@@ -83,10 +83,15 @@ func (o Options) withDefaults() Options {
 // SMAC is the random-forest-based optimizer. It implements
 // optimizer.Optimizer and optimizer.BatchSuggester.
 type SMAC struct {
-	optimizer.Recorder
 	space *space.Space
 	rng   *rand.Rand
 	opts  Options
+
+	// hist is every observation in arrival order, each Config kept as
+	// Observe was handed it; incumbent is the first observation, then each
+	// strictly lower one.
+	hist      []optimizer.Observation
+	incumbent optimizer.Observation
 
 	model  *forest.Forest
 	dirty  bool
@@ -123,15 +128,17 @@ func (s *SMAC) Name() string { return "smac" }
 
 // Observe implements optimizer.Optimizer.
 func (s *SMAC) Observe(cfg space.Config, value float64) error {
-	if err := s.Recorder.Observe(cfg, value); err != nil {
-		return err
+	obs := optimizer.Observation{Config: cfg, Value: value}
+	if len(s.hist) == 0 || value < s.incumbent.Value {
+		s.incumbent = obs
 	}
+	s.hist = append(s.hist, obs)
 	s.dirty = true
 	return nil
 }
 
 func (s *SMAC) refit() error {
-	hist := s.History()
+	hist := s.hist
 	xs := make([][]float64, len(hist))
 	ys := make([]float64, len(hist))
 	for i, obs := range hist {
@@ -161,7 +168,7 @@ func (s *SMAC) ensureModel() error {
 	if !s.dirty {
 		return nil
 	}
-	n := s.N()
+	n := len(s.hist)
 	if n <= s.opts.DeepHistory {
 		return s.refit()
 	}
@@ -177,7 +184,7 @@ func (s *SMAC) ensureModel() error {
 
 // Suggest implements optimizer.Optimizer.
 func (s *SMAC) Suggest() (space.Config, error) {
-	n := s.N()
+	n := len(s.hist)
 	if n == 0 {
 		return s.space.Default(), nil
 	}
@@ -206,9 +213,9 @@ func (s *SMAC) predictCfg(cfg space.Config) (mean, variance float64) {
 
 // pick maximizes the acquisition over random + incumbent-local candidates.
 func (s *SMAC) pick() space.Config {
-	incumbent, best, _ := s.Best()
-	seen := make(map[string]bool, s.N())
-	for _, obs := range s.History() {
+	incumbent, best := s.incumbent.Config, s.incumbent.Value
+	seen := make(map[string]bool, len(s.hist))
+	for _, obs := range s.hist {
 		seen[obs.Config.Key()] = true
 	}
 	var top space.Config
@@ -248,7 +255,7 @@ func (s *SMAC) pick() space.Config {
 // SuggestN implements optimizer.BatchSuggester: it picks the top-n distinct
 // candidates by acquisition score in one scoring pass.
 func (s *SMAC) SuggestN(n int) ([]space.Config, error) {
-	if n <= 1 || s.N() < s.opts.InitSamples {
+	if n <= 1 || len(s.hist) < s.opts.InitSamples {
 		out := make([]space.Config, 0, n)
 		for i := 0; i < n; i++ {
 			cfg, err := s.Suggest()
@@ -262,7 +269,7 @@ func (s *SMAC) SuggestN(n int) ([]space.Config, error) {
 	if err := s.ensureModel(); err != nil {
 		return s.space.SampleN(s.rng, n), nil
 	}
-	_, best, _ := s.Best()
+	best := s.incumbent.Value
 	type scored struct {
 		cfg   space.Config
 		score float64
@@ -307,10 +314,9 @@ func (s *SMAC) Importance() []float64 {
 			return nil
 		}
 	}
-	hist := s.History()
-	xs := make([][]float64, len(hist))
-	ys := make([]float64, len(hist))
-	for i, obs := range hist {
+	xs := make([][]float64, len(s.hist))
+	ys := make([]float64, len(s.hist))
+	for i, obs := range s.hist {
 		xs[i] = s.space.Encode(obs.Config)
 		ys[i] = obs.Value
 	}

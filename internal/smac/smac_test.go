@@ -8,12 +8,13 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
 	"autotune/internal/testfunc"
+	"autotune/internal/trial"
 )
 
 func TestSMACOnSphere(t *testing.T) {
 	f := testfunc.Sphere(3)
 	s := New(f.Space, rand.New(rand.NewSource(1)))
-	_, val, err := optimizer.Run(s, f.Eval, 60)
+	_, val, err := minimize(s, f.Eval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +45,11 @@ func TestSMACBeatsRandomOnHybridSpace(t *testing.T) {
 	for i := 0; i < seeds; i++ {
 		sm := New(sp, rand.New(rand.NewSource(int64(10+i))))
 		rd := optimizer.NewRandom(sp, rand.New(rand.NewSource(int64(10+i))))
-		_, sv, err := optimizer.Run(sm, f, budget)
+		_, sv, err := minimize(sm, f, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rv, err := optimizer.Run(rd, f, budget)
+		_, rv, err := minimize(rd, f, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestSMACFindsBestCategory(t *testing.T) {
 		return 1
 	}
 	s := New(sp, rand.New(rand.NewSource(2)))
-	cfg, val, err := optimizer.Run(s, f, 15)
+	cfg, val, err := minimize(s, f, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestSMACHandlesCrashes(t *testing.T) {
 		return math.Abs(c.Float("x") - 0.4)
 	}
 	s := New(sp, rand.New(rand.NewSource(7)))
-	cfg, val, err := optimizer.Run(s, f, 30)
+	cfg, val, err := minimize(s, f, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +189,8 @@ func TestSMACDeepHistoryAmortizesRefits(t *testing.T) {
 	if st.Refits > steps/2 {
 		t.Fatalf("refits not amortized: %d refits for %d suggests", st.Refits, steps)
 	}
-	if st.Fitted < s.N()-s.N()/8 {
-		t.Fatalf("served forest too stale: fitted %d of %d", st.Fitted, s.N())
+	if n := len(s.hist); st.Fitted < n-n/8 {
+		t.Fatalf("served forest too stale: fitted %d of %d", st.Fitted, n)
 	}
 	// Below the threshold the original refit-per-dirty-suggest behavior
 	// must be preserved exactly.
@@ -209,7 +210,14 @@ func TestSMACDeepHistoryAmortizesRefits(t *testing.T) {
 	if _, err := dense.Suggest(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dense.Stats(); got.Fitted != dense.N() {
-		t.Fatalf("below threshold the forest must track history exactly: fitted %d of %d", got.Fitted, dense.N())
+	if got := dense.Stats(); got.Fitted != len(dense.hist) {
+		t.Fatalf("below threshold the forest must track history exactly: fitted %d of %d", got.Fitted, len(dense.hist))
 	}
+}
+
+// minimize drives o against f for the budget through the tuning loop and
+// returns the incumbent.
+func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
+	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return rep.BestConfig, rep.BestValue, err
 }

@@ -8,10 +8,36 @@ import (
 
 	"autotune/internal/optimizer"
 	"autotune/internal/space"
+	"autotune/internal/trial"
 )
 
 func mkRecord(wl map[string]float64, trials ...Trial) Record {
 	return Record{Workload: wl, Trials: trials}
+}
+
+// observed keeps what WarmStart feeds the strategy it wraps: the strategy
+// itself keeps no history.
+type observed struct {
+	optimizer.Optimizer
+	obs []optimizer.Observation
+}
+
+func newObserved(s *space.Space, seed int64) *observed {
+	return &observed{Optimizer: optimizer.NewRandom(s, rand.New(rand.NewSource(seed)))}
+}
+
+func (o *observed) Observe(cfg space.Config, v float64) error {
+	o.obs = append(o.obs, optimizer.Observation{Config: cfg, Value: v})
+	return o.Optimizer.Observe(cfg, v)
+}
+
+// best is the lowest value observed, +Inf before any.
+func (o *observed) best() float64 {
+	best := math.Inf(1)
+	for _, obs := range o.obs {
+		best = math.Min(best, obs.Value)
+	}
+	return best
 }
 
 func TestSimilarity(t *testing.T) {
@@ -66,7 +92,7 @@ func TestWarmStartReplaysBestFirst(t *testing.T) {
 		Trial{space.Config{"x": 0.2}, 1},
 		Trial{space.Config{"x": 0.3}, 3},
 	)
-	o := optimizer.NewRandom(s, rand.New(rand.NewSource(1)))
+	o := newObserved(s, 1)
 	n, err := WarmStart(o, []Record{rec}, WarmStartOptions{MaxTrials: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +100,11 @@ func TestWarmStartReplaysBestFirst(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("replayed = %d", n)
 	}
-	_, best, ok := o.Best()
-	if !ok || best != 1 {
+	if best := o.best(); best != 1 {
 		t.Fatalf("best = %v", best)
 	}
 	// The dropped trial must be the worst one (value 5).
-	for _, obs := range o.History() {
+	for _, obs := range o.obs {
 		if obs.Value == 5 {
 			t.Fatal("worst trial should have been dropped under MaxTrials")
 		}
@@ -92,7 +117,7 @@ func TestWarmStartCrashImputation(t *testing.T) {
 		Trial{space.Config{"x": 0.2}, 10},
 		Trial{space.Config{"x": 0.9}, CrashValue},
 	)
-	o := optimizer.NewRandom(s, rand.New(rand.NewSource(2)))
+	o := newObserved(s, 2)
 	n, err := WarmStart(o, []Record{rec}, WarmStartOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +126,7 @@ func TestWarmStartCrashImputation(t *testing.T) {
 		t.Fatalf("replayed = %d", n)
 	}
 	var crashScore float64
-	for _, obs := range o.History() {
+	for _, obs := range o.obs {
 		if obs.Config.Float("x") == 0.9 {
 			crashScore = obs.Value
 		}
@@ -144,7 +169,7 @@ func TestWarmStartSimilarityWeighting(t *testing.T) {
 	}
 	// Far sample's score (0, the best) should be shrunk toward the mean (0
 	// here as both are 0) — construct asymmetry instead:
-	o2 := optimizer.NewRandom(s, rand.New(rand.NewSource(5)))
+	o2 := newObserved(s, 5)
 	near2 := mkRecord(map[string]float64{"rate": 0}, Trial{space.Config{"x": 0.1}, 10})
 	far2 := mkRecord(map[string]float64{"rate": 10}, Trial{space.Config{"x": 0.9}, 0})
 	if _, err := WarmStart(o2, []Record{near2, far2}, WarmStartOptions{
@@ -154,7 +179,7 @@ func TestWarmStartSimilarityWeighting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var farScore float64
-	for _, obs := range o2.History() {
+	for _, obs := range o2.obs {
 		if obs.Config.Float("x") == 0.9 {
 			farScore = obs.Value
 		}
@@ -177,13 +202,12 @@ func TestWarmStartEmpty(t *testing.T) {
 func TestWarmStartAllCrashes(t *testing.T) {
 	s := space.MustNew(space.Float("x", 0, 1))
 	rec := mkRecord(nil, Trial{space.Config{"x": 0.5}, CrashValue})
-	o := optimizer.NewRandom(s, rand.New(rand.NewSource(7)))
+	o := newObserved(s, 7)
 	n, err := WarmStart(o, []Record{rec}, WarmStartOptions{})
 	if err != nil || n != 1 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
-	_, v, _ := o.Best()
-	if math.IsInf(v, 0) {
+	if v := o.best(); math.IsInf(v, 0) {
 		t.Fatal("imputed crash score should be finite")
 	}
 }
@@ -196,13 +220,15 @@ func TestWarmStartSpeedsUpTuning(t *testing.T) {
 	prior := mkRecord(map[string]float64{"w": 1},
 		Trial{space.Config{"x": 0.43}, f(space.Config{"x": 0.43})},
 	)
-	warm := optimizer.NewRandom(s, rand.New(rand.NewSource(8)))
+	warm := newObserved(s, 8)
 	if _, err := WarmStart(warm, []Record{prior}, WarmStartOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cold := optimizer.NewRandom(s, rand.New(rand.NewSource(8)))
-	_, wBest, _ := optimizer.Run(warm, f, 3)
-	_, cBest, _ := optimizer.Run(cold, f, 3)
+	_, _ = trial.Run(warm, &trial.FuncEnv{F: f}, trial.Options{Budget: 3})
+	cRep, _ := trial.Run(cold, &trial.FuncEnv{F: f}, trial.Options{Budget: 3})
+	// The warm incumbent counts the replayed prior as well as the loop.
+	wBest, cBest := warm.best(), cRep.BestValue
 	if wBest > cBest {
 		t.Fatalf("warm best %v should be <= cold best %v", wBest, cBest)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,7 +65,7 @@ func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 	}
 	// Resume with a fresh optimizer: the store covers the full budget, so
 	// the environment must not be touched.
-	o2 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(99)))
+	o2 := &toldOpt{Optimizer: optimizer.NewRandom(env.sp, rand.New(rand.NewSource(99)))}
 	rep2, err := Resume(o2, env, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +80,10 @@ func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 		t.Fatalf("best mismatch: %v vs %v", rep2.BestValue, rep.BestValue)
 	}
 	// The replayed history landed in the fresh optimizer.
-	if o2.N() != 25 {
-		t.Fatalf("optimizer observed %d, want 25", o2.N())
+	if len(o2.values) != 25 {
+		t.Fatalf("optimizer observed %d, want 25", len(o2.values))
 	}
-	if _, bv, ok := o2.Best(); !ok || bv != rep.BestValue {
+	if bv := slices.Min(o2.values); bv != rep.BestValue {
 		t.Fatalf("optimizer best %v, want %v", bv, rep.BestValue)
 	}
 }
@@ -183,7 +184,7 @@ func TestSaveIsAtomicAndLeavesNoTemp(t *testing.T) {
 func TestRunParallelFlakyNoLostTrials(t *testing.T) {
 	env := newCountingEnv()
 	env.failEvery = 3 // a third of trials crash
-	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))
+	o := &toldOpt{Optimizer: optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))}
 	rep, err := Run(o, env, Options{Budget: 64, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +216,8 @@ func TestRunParallelFlakyNoLostTrials(t *testing.T) {
 	if curve[len(curve)-1] != rep.BestValue {
 		t.Fatal("final curve point should equal best")
 	}
-	if o.N() != 64 {
-		t.Fatalf("optimizer observed %d, want 64", o.N())
+	if len(o.values) != 64 {
+		t.Fatalf("optimizer observed %d, want 64", len(o.values))
 	}
 }
 

@@ -30,7 +30,7 @@ func TestRunWithStoreThenResume(t *testing.T) {
 	// Resume with a doubled budget: the 8 stored trials replay without
 	// touching the environment, then 8 more run.
 	opts.Budget = 16
-	o2 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(9)))
+	o2 := &toldOpt{Optimizer: optimizer.NewRandom(env.sp, rand.New(rand.NewSource(9)))}
 	rep2, err := Resume(o2, env, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +41,8 @@ func TestRunWithStoreThenResume(t *testing.T) {
 	if len(rep2.Trials) != 16 || env.runs.Load() != 16 {
 		t.Fatalf("after resume: %d trials, %d env runs, want 16 and 16", len(rep2.Trials), env.runs.Load())
 	}
-	if o2.N() != 16 {
-		t.Fatalf("optimizer observed %d, want 16", o2.N())
+	if len(o2.values) != 16 {
+		t.Fatalf("optimizer observed %d, want 16", len(o2.values))
 	}
 }
 

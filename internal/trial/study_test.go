@@ -1,10 +1,12 @@
 package trial
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -327,4 +329,123 @@ func sortedIDs(recs []TrialRecord) []int {
 	out := ids(recs)
 	slices.Sort(out)
 	return out
+}
+
+// BenchmarkReplayHeap replays a restart-shaped preload — 512 random
+// studies of 128 records on the benchmark's four-knob service space — into
+// fresh studies, the way a booting daemon does, and reports the live heap
+// of the records themselves and what replaying them added on top:
+//
+//	go test ./internal/trial -run '^$' -bench ReplayHeap -benchtime 3x
+func BenchmarkReplayHeap(b *testing.B) {
+	sp := space.MustNew(
+		space.Int("cache_mb", 64, 8192).WithLog(),
+		space.Float("flush_interval", 0.01, 30).WithLog(),
+		space.Categorical("policy", "lru", "fifo", "arc", "clock"),
+		space.Bool("direct_io"),
+	)
+	heapMiB := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	for range b.N {
+		b.StopTimer()
+		base := heapMiB()
+		rng := rand.New(rand.NewSource(1))
+		histories := make([][]TrialRecord, 512)
+		for i := range histories {
+			histories[i] = make([]TrialRecord, 128)
+			for j := range histories[i] {
+				histories[i][j] = TrialRecord{ID: j, Config: sp.Sample(rng), Value: rng.Float64()}
+			}
+		}
+		loaded := heapMiB()
+		b.StartTimer()
+		studies := make([]*Study, len(histories))
+		for i, h := range histories {
+			studies[i] = NewStudy(optimizer.NewRandom(sp, rand.New(rand.NewSource(int64(i)))), nil)
+			if err := studies[i].Replay(h); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(loaded-base, "records-MiB")
+		b.ReportMetric(heapMiB()-loaded, "replay-MiB")
+		runtime.KeepAlive(studies)
+	}
+}
+
+// seqEnv scores the i-th trial it runs values[i] and crashes trial crash.
+type seqEnv struct {
+	sp     *space.Space
+	values []float64
+	crash  int
+	n      int
+}
+
+func (e *seqEnv) Space() *space.Space { return e.sp }
+
+func (e *seqEnv) Run(context.Context, space.Config, float64) (Result, error) {
+	i := e.n
+	e.n++
+	if i == e.crash {
+		return Result{}, ErrCrash
+	}
+	return Result{Value: e.values[i]}, nil
+}
+
+// TestIncumbentRule pins the one incumbent rule of the repo: the first
+// trial is the incumbent and only a strictly lower value replaces it, so a
+// tie keeps the earlier trial, a NaN first value sticks (nothing compares
+// below it) and -Inf holds; a crashed trial never counts, whatever value it
+// carries. A replayed study, a study told trial by trial and Run's Report
+// must all pick the same trial, or the figure tables move.
+func TestIncumbentRule(t *testing.T) {
+	nan, negInf := math.NaN(), math.Inf(-1)
+	cases := []struct {
+		name    string
+		values  []float64
+		crashed int // index of the crashed trial; -1 for none
+		best    int
+	}{
+		{"a tie keeps the first", []float64{3, 1, 2, 1}, -1, 1},
+		{"a NaN first value sticks", []float64{nan, 1, 0.5}, -1, 0},
+		{"-Inf wins and holds", []float64{2, negInf, negInf, -5}, -1, 1},
+		{"a crashed lower value is skipped", []float64{2, 0.5, 1}, 1, 2},
+	}
+	sp := space.MustNew(space.Float("x", 0, 1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := make([]TrialRecord, len(tc.values))
+			for i, v := range tc.values {
+				recs[i] = TrialRecord{ID: i, Config: space.Config{"x": float64(i)}, Value: v, Crashed: i == tc.crashed}
+			}
+			replayed := NewStudy(nil, nil)
+			if err := replayed.Replay(slices.Clone(recs)); err != nil {
+				t.Fatal(err)
+			}
+			told := NewStudy(optimizer.NewRandom(sp, rand.New(rand.NewSource(1))), nil)
+			for _, rec := range recs {
+				if _, _, err := told.Observe([]TrialRecord{rec}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, s := range map[string]*Study{"replayed": replayed, "told": told} {
+				if best, ok := s.Best(); !ok || best.ID != tc.best {
+					t.Fatalf("%s study: incumbent %d (found %v), want %d", name, best.ID, ok, tc.best)
+				}
+			}
+			env := &seqEnv{sp: sp, values: tc.values, crash: tc.crashed}
+			rep, err := Run(optimizer.NewGridLevels(sp, len(tc.values)), env, Options{Budget: len(tc.values)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(rep.BestValue) != math.Float64bits(tc.values[tc.best]) || !sameBits(rep.BestConfig, rep.Trials[tc.best].Config) {
+				t.Fatalf("report incumbent %v %v, want trial %d: %v %v",
+					rep.BestValue, rep.BestConfig, tc.best, tc.values[tc.best], rep.Trials[tc.best].Config)
+			}
+		})
+	}
 }
