@@ -6,7 +6,7 @@ help:
 	@echo "Targets:"
 	@echo "  check               fmt-check + vet + lint + build + race-core + race + invariants"
 	@echo "  test                go test ./..."
-	@echo "  race                go test -race ./..."
+	@echo "  race                go test -race ./... minus internal/lint and cmd/autolint, which run without -race"
 	@echo "  bench               quick figure suite (F1-F22, A1-A6) + go test -bench micro-benchmarks; no floors (BENCH_4..9.json are all frozen records)"
 	@echo "  e2e-bench           quick pass of the repo benchmark (BENCHMARK.json: daemon subprocess, four workloads)"
 	@echo "  e2e-pairs           BASE=<rev> WORKLOAD=<name> [N=10]: alternate parent/change runs of the repo benchmark, then -compare"
@@ -118,8 +118,12 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/lint and cmd/autolint start no goroutine and import no module
+# package that could (TestLintPackagesCannotRace pins both), so -race has
+# nothing to find in them; they run in this target without it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/lint$$' -e '/cmd/autolint$$')
+	$(GO) test ./internal/lint ./cmd/autolint
 
 # The packages whose lock discipline the lockheld analyzer polices get a
 # focused, always-fresh -race pass (the full `race` target may cache).

@@ -111,6 +111,9 @@ type (
 	FuncEnv = trial.FuncEnv
 	// TuneOptions configures a tuning run.
 	TuneOptions = trial.Options
+	// Study is the ask/tell core a tuning run drives: one optimizer, the
+	// sink its observations are journaled to, and the observed history.
+	Study = trial.Study
 	// Report is a completed tuning session.
 	Report = trial.Report
 	// Result is one benchmark measurement.
@@ -118,10 +121,11 @@ type (
 	// TrialRecord is one completed trial inside a Report or journal.
 	TrialRecord = trial.TrialRecord
 	// JournalSink receives every completed trial before the optimizer
-	// observes it (TuneOptions.Sink) — the write-ahead contract.
+	// observes it (NewStudy's sink) — the write-ahead contract.
 	JournalSink = trial.JournalSink
 	// StudyJournal is a JournalSink backed by one study inside the
-	// crash-safe segmented study store (TuneOptions.Store).
+	// crash-safe segmented study store; its Records method reads that
+	// study back for a resume.
 	StudyJournal = trial.StudyJournal
 )
 
@@ -143,15 +147,15 @@ type (
 // its value and stack ride on the error.
 var ErrPanic = trial.ErrPanic
 
+// NewStudy returns an empty study around an optimizer; a nil sink leaves
+// its observations unjournaled. Tune runs it; Study.Replay first restores
+// a journaled history for a resume.
+var NewStudy = trial.NewStudy
+
 // OpenStudyJournal opens (creating if needed) the crash-safe segmented
 // study store at dir and returns a sink journaling trials into the named
-// study — the programmatic form of TuneOptions.Store/Study.
+// study.
 var OpenStudyJournal = trial.OpenStudyJournal
-
-// ReadStudyTrials loads one study's trial records from the segmented
-// store at dir, sorted by ID with duplicates dropped. A missing
-// directory is an empty study.
-var ReadStudyTrials = trial.ReadStudyJournal
 
 // Resilient-execution types (internal/resilience): fault-tolerant trial
 // execution with retries, deadlines, quarantine, and fault injection.
@@ -220,7 +224,7 @@ func NewOptimizer(name string, s *Space, seed int64) (Optimizer, error) {
 // the tuning loop (Tune over a FuncEnv) and returns the best configuration
 // and value found.
 func Minimize(o Optimizer, f func(Config) float64, budget int) (Config, float64, error) {
-	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	rep, err := trial.Run(trial.NewStudy(o, nil), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -228,26 +232,19 @@ func Minimize(o Optimizer, f func(Config) float64, budget int) (Config, float64,
 }
 
 // Tune runs the full-featured tuning loop (crash handling, parallelism,
-// early abort, fidelity, write-ahead journaling) of an optimizer against an
-// environment.
-func Tune(o Optimizer, env Environment, opts TuneOptions) (Report, error) {
-	return trial.Run(o, env, opts)
+// early abort, fidelity, write-ahead journaling) of a study against an
+// environment until the study holds opts.Budget trials. A study that
+// replayed a journal first resumes: its records count toward the budget
+// and are never re-run.
+func Tune(s *Study, env Environment, opts TuneOptions) (Report, error) {
+	return trial.Run(s, env, opts)
 }
 
 // TuneContext is Tune with cancellation: the loop stops at the next batch
-// boundary once ctx is cancelled; every finished trial is already in
-// TuneOptions.Store when one is set.
-func TuneContext(ctx context.Context, o Optimizer, env Environment, opts TuneOptions) (Report, error) {
-	return trial.RunContext(ctx, o, env, opts)
-}
-
-// ResumeTune continues a killed tuning session from the write-ahead
-// journal in the study store at TuneOptions.Store: recorded trials are
-// replayed into the optimizer without re-running them, then the loop
-// finishes the remaining budget. The journal keeps every trial that
-// finished, so a kill mid-batch loses nothing.
-func ResumeTune(o Optimizer, env Environment, opts TuneOptions) (Report, error) {
-	return trial.Resume(o, env, opts)
+// boundary once ctx is cancelled; every finished trial is already in the
+// study's sink when it has one.
+func TuneContext(ctx context.Context, s *Study, env Environment, opts TuneOptions) (Report, error) {
+	return trial.RunContext(ctx, s, env, opts)
 }
 
 // Harden wraps an environment with fault-tolerant execution: retry with

@@ -81,7 +81,7 @@ func TestFacadeTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := autotune.Tune(o, env, autotune.TuneOptions{Budget: 40})
+	rep, err := autotune.Tune(autotune.NewStudy(o, nil), env, autotune.TuneOptions{Budget: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

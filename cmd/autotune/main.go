@@ -204,24 +204,22 @@ func run(o cliOptions) error {
 		DedupEvals: o.dedup,
 	}
 	var storeSink *trial.StudyJournal
+	study := trial.NewStudy(opt, nil)
 	if o.store != "" {
-		topts.Store = o.store
-		topts.Study = o.study
-		if topts.Study == "" {
-			topts.Study = o.system + "-" + o.wlName
+		name := o.study
+		if name == "" {
+			name = o.system + "-" + o.wlName
 		}
-		// Own the store handle instead of letting the run open its own:
-		// the end-of-run stats line then reports the write path this run
-		// actually took (fsyncs, group amortization), which a fresh
-		// read-only handle could not see. topts.Store stays set so resume
-		// still knows where the durable history lives.
-		sj, err := trial.OpenStudyJournal(o.store, topts.Study)
+		// One handle journals this run and, on -resume, supplies the
+		// history; the end-of-run stats line reports the write path this
+		// run actually took (fsyncs, group amortization).
+		sj, err := trial.OpenStudyJournal(o.store, name)
 		if err != nil {
 			return err
 		}
 		defer sj.Close()
-		topts.Sink = sj
 		storeSink = sj
+		study = trial.NewStudy(opt, sj)
 	}
 	if o.trialTimeout > 0 {
 		topts.DegradeAfterTimeouts = 3
@@ -233,18 +231,23 @@ func run(o cliOptions) error {
 		topts.Scheduler = &sched.Options{Hosts: hosts, Workers: o.workers, HedgeQuantile: o.hedge}
 	}
 	ctx := context.Background()
-	var rep trial.Report
 	if o.resume {
-		if o.store == "" {
+		if storeSink == nil {
 			return fmt.Errorf("-resume needs -store")
 		}
+		history, err := storeSink.Records(sys.Space())
+		if err != nil {
+			return fmt.Errorf("resume: %w", err)
+		}
+		if err := study.Replay(history); err != nil {
+			return fmt.Errorf("resume replay: %w", err)
+		}
 		fmt.Printf("resuming %s on %s from %s...\n", o.system, wl.Name, o.store)
-		rep, err = trial.ResumeContext(ctx, opt, env, topts)
 	} else {
 		fmt.Printf("tuning %s on %s (%s VM) with %s, %d trials...\n",
 			o.system, wl.Name, o.vmSize, o.optName, o.budget)
-		rep, err = trial.RunContext(ctx, opt, env, topts)
 	}
+	rep, err := trial.RunContext(ctx, study, env, topts)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -245,6 +246,12 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run(bad(func(o *cliOptions) { o.resume = true })); err == nil {
 		t.Fatal("resume without a store should error")
+	}
+	if err := run(bad(func(o *cliOptions) { o.fidelity = math.NaN() })); err == nil {
+		t.Fatal("NaN fidelity should error")
+	}
+	if err := run(bad(func(o *cliOptions) { o.fidelity = 5 })); err == nil {
+		t.Fatal("fidelity above 1 should error")
 	}
 }
 

@@ -103,7 +103,7 @@ func main() {
 	}
 	fmt.Printf("tuning kvstore on %s: %d trials x %d ops x %d workers...\n",
 		wl.Name, *budget, *ops, *workers)
-	rep, err := trial.Run(opt, &trial.FuncEnv{Sp: kvstore.Space(), F: obj}, trial.Options{Budget: *budget})
+	rep, err := trial.Run(trial.NewStudy(opt, nil), &trial.FuncEnv{Sp: kvstore.Space(), F: obj}, trial.Options{Budget: *budget})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvbench:", err)
 		os.Exit(1)

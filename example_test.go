@@ -34,6 +34,57 @@ func ExampleMinimize() {
 	// found a near-optimal config: true
 }
 
+// ExampleTune journals a tuning run into a study store, then resumes it
+// the way a restarted process would: open the store once, replay the
+// study's records into a fresh Study, and tune on to the budget. Replayed
+// trials are never re-run, and their configs come back typed by the space.
+func ExampleTune() {
+	dir, err := os.MkdirTemp("", "autotune-resume")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	sp := autotune.MustSpace(
+		autotune.Float("cache_mb", 64, 4096),
+		autotune.Int("threads", 1, 32),
+	)
+	runs := 0
+	env := &autotune.FuncEnv{Sp: sp, F: func(c autotune.Config) float64 {
+		runs++
+		return math.Pow(math.Log2(c.Float("cache_mb")/1024), 2) + math.Pow(float64(c.Int("threads")-8)/8, 2)
+	}}
+	tune := func(seed int64, budget int) autotune.Report {
+		sj, err := autotune.OpenStudyJournal(dir, "db")
+		if err != nil {
+			panic(err)
+		}
+		defer sj.Close()
+		history, err := sj.Records(sp)
+		if err != nil {
+			panic(err)
+		}
+		opt, err := autotune.NewOptimizer("random", sp, seed)
+		if err != nil {
+			panic(err)
+		}
+		s := autotune.NewStudy(opt, sj)
+		if err := s.Replay(history); err != nil {
+			panic(err)
+		}
+		rep, err := autotune.Tune(s, env, autotune.TuneOptions{Budget: budget})
+		if err != nil {
+			panic(err)
+		}
+		return rep
+	}
+	tune(1, 10) // the first process stops after 10 trials
+	rep := tune(2, 25)
+	_, typed := rep.BestConfig["threads"].(int64)
+	fmt.Println("replayed:", rep.Resumed, "ran:", runs, "trials:", len(rep.Trials), "typed:", typed)
+	// Output:
+	// replayed: 10 ran: 25 trials: 25 typed: true
+}
+
 // ExampleNewServer runs the tuning service in-process: the daemon is a
 // plain http.Handler, so the example mounts it on an httptest server and
 // drives it through the typed client exactly as a remote tuner would.

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	rep, err := autotune.Tune(opt, env, autotune.TuneOptions{Budget: 60})
+	rep, err := autotune.Tune(autotune.NewStudy(opt, nil), env, autotune.TuneOptions{Budget: 60})
 	if err != nil {
 		panic(err)
 	}

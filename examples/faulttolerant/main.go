@@ -31,7 +31,7 @@ func main() {
 
 	// ---- 1. Baseline: a fault-free run. -------------------------------
 	cleanOpt, _ := autotune.NewOptimizer("smac", newEnv().Space(), 1)
-	cleanRep, err := trial.Run(cleanOpt, newEnv(), opts)
+	cleanRep, err := trial.Run(trial.NewStudy(cleanOpt, nil), newEnv(), opts)
 	check(err)
 	fmt.Printf("fault-free:     best %7.3f ms   %2d crashes   cost %6.0fs\n",
 		cleanRep.BestValue, cleanRep.Crashes, cleanRep.TotalCostSeconds)
@@ -58,7 +58,7 @@ func main() {
 		Seed:         7,
 	})
 	faultyOpt, _ := autotune.NewOptimizer("smac", hardened.Space(), 1)
-	faultyRep, err := trial.Run(faultyOpt, hardened, trial.Options{
+	faultyRep, err := trial.Run(trial.NewStudy(faultyOpt, nil), hardened, trial.Options{
 		Budget: opts.Budget, DegradeAfterTimeouts: 3,
 	})
 	check(err)
@@ -76,19 +76,29 @@ func main() {
 	store, err := os.MkdirTemp("", "autotune-faulttolerant-store")
 	check(err)
 	defer os.RemoveAll(store)
-	storeOpts := trial.Options{Budget: opts.Budget, Store: store}
 
 	killable := newCountingEnv(newEnv())
 	ctx, cancel := context.WithCancel(context.Background())
 	killable.after(15, cancel) // "kill -9" after 15 trials
+	sj1, err := trial.OpenStudyJournal(store, "")
+	check(err)
 	opt1, _ := autotune.NewOptimizer("smac", killable.Space(), 1)
-	_, err = trial.RunContext(ctx, opt1, killable, storeOpts)
+	_, err = trial.RunContext(ctx, trial.NewStudy(opt1, sj1), killable, opts)
 	fmt.Printf("killed mid-run after %d trials: %v\n", killable.runs, err)
+	check(sj1.Close())
 
-	// A fresh process: new optimizer, same store.
+	// A fresh process: open the store once, replay its history into a new
+	// study around a new optimizer, and run that study to the budget.
 	ranBefore := killable.runs
+	sj2, err := trial.OpenStudyJournal(store, "")
+	check(err)
+	defer sj2.Close()
+	history, err := sj2.Records(killable.Space())
+	check(err)
 	opt2, _ := autotune.NewOptimizer("smac", killable.Space(), 2)
-	rep, err := trial.Resume(opt2, killable, storeOpts)
+	study := trial.NewStudy(opt2, sj2)
+	check(study.Replay(history))
+	rep, err := trial.Run(study, killable, opts)
 	check(err)
 	fmt.Printf("resumed: %d trials replayed from the store, %d run fresh, best %7.3f ms\n",
 		rep.Resumed, killable.runs-ranBefore, rep.BestValue)

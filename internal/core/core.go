@@ -1,13 +1,11 @@
 // Package core is the framework facade: a registry that constructs any of
-// the library's optimizers by name, a Tuner that wires an optimizer to an
-// environment for offline tuning (delegating to internal/trial), and an
-// online Agent — the "side-car" architecture from tutorial slide 78 —
-// that continuously adjusts a live system under guardrails (bounded
-// exploration, regression rollback).
+// the library's optimizers by name (offline tuning runs them through
+// internal/trial), and an online Agent — the "side-car" architecture from
+// tutorial slide 78 — that continuously adjusts a live system under
+// guardrails (bounded exploration, regression rollback).
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -19,7 +17,6 @@ import (
 	"autotune/internal/pso"
 	"autotune/internal/smac"
 	"autotune/internal/space"
-	"autotune/internal/trial"
 )
 
 // NewOptimizer constructs an optimizer by name. Supported names: random,
@@ -62,38 +59,4 @@ func OptimizerNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Tuner is the offline tuning facade: optimizer + environment + options.
-type Tuner struct {
-	Optimizer optimizer.Optimizer
-	Env       trial.Environment
-	Options   trial.Options
-}
-
-// NewTuner builds a Tuner with an optimizer constructed by name.
-func NewTuner(optName string, env trial.Environment, opts trial.Options, rng *rand.Rand) (*Tuner, error) {
-	o, err := NewOptimizer(optName, env.Space(), rng)
-	if err != nil {
-		return nil, err
-	}
-	return &Tuner{Optimizer: o, Env: env, Options: opts}, nil
-}
-
-// Run executes the tuning session.
-func (t *Tuner) Run() (trial.Report, error) {
-	return trial.Run(t.Optimizer, t.Env, t.Options)
-}
-
-// RunContext executes the tuning session with cancellation: the loop
-// stops at the next batch boundary once ctx is cancelled; every finished
-// trial is already in Options.Store when one is set.
-func (t *Tuner) RunContext(ctx context.Context) (trial.Report, error) {
-	return trial.RunContext(ctx, t.Optimizer, t.Env, t.Options)
-}
-
-// Resume continues a killed session from Options.Store, replaying
-// recorded trials into the optimizer without re-running them.
-func (t *Tuner) Resume(ctx context.Context) (trial.Report, error) {
-	return trial.ResumeContext(ctx, t.Optimizer, t.Env, t.Options)
 }

@@ -36,24 +36,23 @@ func TestRegistryConstructsAll(t *testing.T) {
 	}
 }
 
+// TestTunerEndToEnd tunes with a registry-built optimizer through the
+// offline loop.
 func TestTunerEndToEnd(t *testing.T) {
 	env := &trial.FuncEnv{
 		Sp: space.MustNew(space.Float("x", 0, 1)),
 		F:  func(c space.Config) float64 { return math.Abs(c.Float("x") - 0.3) },
 	}
-	tn, err := NewTuner("bo", env, trial.Options{Budget: 25}, rand.New(rand.NewSource(2)))
+	o, err := NewOptimizer("bo", env.Space(), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.Run()
+	rep, err := trial.Run(trial.NewStudy(o, nil), env, trial.Options{Budget: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.BestValue > 0.05 {
 		t.Fatalf("best = %v", rep.BestValue)
-	}
-	if _, err := NewTuner("bogus", env, trial.Options{Budget: 1}, rand.New(rand.NewSource(2))); err == nil {
-		t.Fatal("bad optimizer name should error")
 	}
 }
 

@@ -261,7 +261,7 @@ func runA5(quick bool, seed int64) (Table, error) {
 	} {
 		env := &trial.SystemEnv{Sys: d, WL: wl}
 		o := optimizer.NewRandom(d.Space(), rand.New(rand.NewSource(seed)))
-		rep, err := trial.Run(o, env, trial.Options{
+		rep, err := trial.Run(trial.NewStudy(o, nil), env, trial.Options{
 			Budget:    budget,
 			Parallel:  10,
 			Scheduler: &sched.Options{Hosts: hosts, HedgeQuantile: v.hedge},
@@ -305,7 +305,7 @@ func runA6(quick bool, seed int64) (Table, error) {
 		sum := 0.0
 		for s := 0; s < seeds; s++ {
 			b := bo.NewWith(f.Space, rand.New(rand.NewSource(seed+int64(101*s))), o)
-			rep, err := trial.Run(b, &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
+			rep, err := trial.Run(trial.NewStudy(b, nil), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
 			if err != nil {
 				return 0, fmt.Errorf("%s %s: %w", f.Name, p, err)
 			}

@@ -97,7 +97,7 @@ func bestsOver(mk func(rng *rand.Rand) optimizer.Optimizer, f func(space.Config)
 	vals := make([]float64, 0, seeds)
 	for s := 0; s < seeds; s++ {
 		sd := seed + int64(s)*1009
-		rep, err := trial.Run(mk(rand.New(rand.NewSource(sd))), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+		rep, err := trial.Run(trial.NewStudy(mk(rand.New(rand.NewSource(sd))), nil), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %w", sd, err)
 		}
@@ -141,7 +141,7 @@ func runF1(quick bool, seed int64) (Table, error) {
 		},
 	}
 	for _, budget := range []int{5, 10, 20, 50} {
-		grid, err := trial.Run(optimizer.NewGridLevels(f.Space, budget), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
+		grid, err := trial.Run(trial.NewStudy(optimizer.NewGridLevels(f.Space, budget), nil), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
 		if err != nil {
 			return t, err
 		}
@@ -185,7 +185,7 @@ func runF2(quick bool, seed int64) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		grid, err := trial.Run(optimizer.NewGridLevels(f.Space, budget), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
+		grid, err := trial.Run(trial.NewStudy(optimizer.NewGridLevels(f.Space, budget), nil), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: budget})
 		if err != nil {
 			return t, err
 		}

@@ -47,7 +47,7 @@ func runF9(quick bool, seed int64) (Table, error) {
 			rng := rand.New(rand.NewSource(seed + int64(s)*211))
 			env := &trial.SystemEnv{Sys: d, WL: wl, BaseDurationSec: 300}
 			o := bo.New(d.Space(), rng)
-			rep, err := trial.Run(o, env, trial.Options{Budget: budget, Parallel: k})
+			rep, err := trial.Run(trial.NewStudy(o, nil), env, trial.Options{Budget: budget, Parallel: k})
 			if err != nil {
 				return t, err
 			}
@@ -156,7 +156,7 @@ func runF11(quick bool, seed int64) (Table, error) {
 			rng := rand.New(rand.NewSource(seed + int64(s)*401))
 			env := &trial.SystemEnv{Sys: &spaceOverrideSystem{d, sp}, WL: wl}
 			o := bo.New(sp, rng)
-			rep, err := trial.Run(o, env, trial.Options{Budget: budget})
+			rep, err := trial.Run(trial.NewStudy(o, nil), env, trial.Options{Budget: budget})
 			if err != nil {
 				return 0, 0, fmt.Errorf("seed %d: %w", seed+int64(s)*401, err)
 			}
@@ -238,7 +238,7 @@ func runF12(quick bool, seed int64) (Table, error) {
 				}
 				return v
 			}
-			rep, err := trial.Run(o, &trial.FuncEnv{F: wrapped}, trial.Options{Budget: budget})
+			rep, err := trial.Run(trial.NewStudy(o, nil), &trial.FuncEnv{F: wrapped}, trial.Options{Budget: budget})
 			if err != nil {
 				return t, fmt.Errorf("%s seed %d: %w", s.name, seed+int64(sd)*733, err)
 			}
@@ -323,7 +323,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 		rng := rand.New(rand.NewSource(seed + int64(s)*997))
 		// Build the prior store by tuning the source workload.
 		prior := bo.New(d.Space(), rng)
-		if _, err := trial.Run(prior, &trial.FuncEnv{F: srcObj}, trial.Options{Budget: priorBudget}); err != nil {
+		if _, err := trial.Run(trial.NewStudy(prior, nil), &trial.FuncEnv{F: srcObj}, trial.Options{Budget: priorBudget}); err != nil {
 			return t, err
 		}
 		var rec transfer.Record
@@ -347,7 +347,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 		// Cold start on the destination.
 		coldOpt := bo.New(d.Space(), rand.New(rand.NewSource(seed+int64(s)*997+1)))
 		coldF, coldBest := trackMin()
-		if _, err := trial.Run(coldOpt, &trial.FuncEnv{F: coldF}, trial.Options{Budget: budget}); err != nil {
+		if _, err := trial.Run(trial.NewStudy(coldOpt, nil), &trial.FuncEnv{F: coldF}, trial.Options{Budget: budget}); err != nil {
 			return t, err
 		}
 		cold = append(cold, *coldBest)
@@ -368,7 +368,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 				return t, err
 			}
 		}
-		if _, err := trial.Run(warmOpt, &trial.FuncEnv{F: warmF}, trial.Options{Budget: budget - len(top)}); err != nil {
+		if _, err := trial.Run(trial.NewStudy(warmOpt, nil), &trial.FuncEnv{F: warmF}, trial.Options{Budget: budget - len(top)}); err != nil {
 			return t, err
 		}
 		warm = append(warm, *warmBest)
@@ -389,7 +389,7 @@ func runF14(quick bool, seed int64) (Table, error) {
 				return t, err
 			}
 		}
-		if _, err := trial.Run(farOpt, &trial.FuncEnv{F: farF}, trial.Options{Budget: budget - len(topFar)}); err != nil {
+		if _, err := trial.Run(trial.NewStudy(farOpt, nil), &trial.FuncEnv{F: farF}, trial.Options{Budget: budget - len(topFar)}); err != nil {
 			return t, err
 		}
 		warmFar = append(warmFar, *farBest)

@@ -126,7 +126,7 @@ func runF16(quick bool, seed int64) (Table, error) {
 			rng := rand.New(rand.NewSource(seed + int64(s)*577))
 			env := &trial.SystemEnv{Sys: d, WL: wl}
 			o := optimizer.NewRandom(d.Space(), rng)
-			rep, err := trial.Run(o, env, trial.Options{Budget: budget, AbortMargin: margin})
+			rep, err := trial.Run(trial.NewStudy(o, nil), env, trial.Options{Budget: budget, AbortMargin: margin})
 			if err != nil {
 				return t, err
 			}
@@ -202,7 +202,7 @@ func runF17(quick bool, seed int64) (Table, error) {
 				}
 				return v
 			}
-			rep, err := trial.Run(o, &trial.FuncEnv{F: wrapped}, trial.Options{Budget: budget})
+			rep, err := trial.Run(trial.NewStudy(o, nil), &trial.FuncEnv{F: wrapped}, trial.Options{Budget: budget})
 			if err != nil {
 				return t, fmt.Errorf("%s seed %d: %w", s.name, seed+int64(sd)*307, err)
 			}
@@ -474,14 +474,14 @@ func runF20(quick bool, seed int64) (Table, error) {
 	synthObj := dbmsLatencyObjective(d, synth)
 
 	// Tune on the synthetic benchmark, deploy the pick to production.
-	tuned, err := trial.Run(smac.New(d.Space(), rng), &trial.FuncEnv{F: synthObj}, trial.Options{Budget: budget})
+	tuned, err := trial.Run(trial.NewStudy(smac.New(d.Space(), rng), nil), &trial.FuncEnv{F: synthObj}, trial.Options{Budget: budget})
 	if err != nil {
 		return Table{}, err
 	}
 	deployed := prodObj(tuned.BestConfig)
 	// Oracle: tune directly on production (privacy/side effects forbid
 	// this in reality — that is the slide's point).
-	oracle, err := trial.Run(smac.New(d.Space(), rand.New(rand.NewSource(seed+1))), &trial.FuncEnv{F: prodObj}, trial.Options{Budget: budget})
+	oracle, err := trial.Run(trial.NewStudy(smac.New(d.Space(), rand.New(rand.NewSource(seed+1))), nil), &trial.FuncEnv{F: prodObj}, trial.Options{Budget: budget})
 	if err != nil {
 		return Table{}, err
 	}

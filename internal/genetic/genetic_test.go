@@ -62,7 +62,7 @@ func TestGAMixedSpace(t *testing.T) {
 
 func TestGAElitePreservesBest(t *testing.T) {
 	f := testfunc.Sphere(2)
-	rep, err := trial.Run(New(f.Space, rand.New(rand.NewSource(3))), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: 300})
+	rep, err := trial.Run(trial.NewStudy(New(f.Space, rand.New(rand.NewSource(3))), nil), &trial.FuncEnv{F: f.Eval}, trial.Options{Budget: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +127,6 @@ func TestGAFirstIsDefault(t *testing.T) {
 // minimize drives o against f for the budget through the tuning loop and
 // returns the incumbent.
 func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
-	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	rep, err := trial.Run(trial.NewStudy(o, nil), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 	return rep.BestConfig, rep.BestValue, err
 }

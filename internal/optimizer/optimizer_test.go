@@ -14,7 +14,7 @@ import (
 
 // minimize drives o against f for the budget through the tuning loop.
 func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (trial.Report, error) {
-	return trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	return trial.Run(trial.NewStudy(o, nil), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 }
 
 func TestRandomSearchFindsDecentSphere(t *testing.T) {

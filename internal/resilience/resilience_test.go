@@ -287,7 +287,7 @@ func TestInjectorDeterministicBySeed(t *testing.T) {
 func TestFaultInjectedRunMatchesFaultFreeQuality(t *testing.T) {
 	clean := quadEnv()
 	o1 := optimizer.NewRandom(clean.Space(), rand.New(rand.NewSource(10)))
-	cleanRep, err := trial.Run(o1, clean, trial.Options{Budget: 60})
+	cleanRep, err := trial.Run(trial.NewStudy(o1, nil), clean, trial.Options{Budget: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFaultInjectedRunMatchesFaultFreeQuality(t *testing.T) {
 		Sleep:        noSleep,
 	})
 	o2 := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(10)))
-	rep, err := trial.Run(o2, env, trial.Options{Budget: 60})
+	rep, err := trial.Run(trial.NewStudy(o2, nil), env, trial.Options{Budget: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func (p *Pool) runVirtual(ctx context.Context, n int, exec Exec, deliver func(Co
 		v.tasks[i] = &vTask{}
 	}
 	// Graceful drain: a cancellation observed here stops new primaries
-	// (they are re-run after Resume); attempts already evaluated still
+	// (a resumed run re-runs them); attempts already evaluated still
 	// flow through the event loop and are delivered.
 	for i := 0; i < n; i++ {
 		if ctx.Err() != nil {

@@ -199,7 +199,7 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tr := range trs {
-			cfg, err := normalizeConfig(sp, tr.Config)
+			cfg, err := sp.Normalize(tr.Config)
 			if err != nil {
 				t.Fatal(err)
 			}

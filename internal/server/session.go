@@ -167,7 +167,7 @@ func recoverSession(study string, st *studystore.Store) (*session, error) {
 	// do. One that will not normalize retires the optimizer: what it had
 	// observed by then no longer matters, so nothing is fed to it at all.
 	for i := 0; i < len(hist) && ss.sp != nil; i++ {
-		cfg, err := normalizeConfig(ss.sp, hist[i].Config)
+		cfg, err := ss.sp.Normalize(hist[i].Config)
 		if err != nil {
 			ss.core.Retire(fmt.Sprintf("replay trial %d: %v", hist[i].ID, err))
 			break
@@ -227,7 +227,7 @@ func (ss *session) observe(ctx context.Context, obs []Observation) (acked, dups 
 		if ss.core.Acked(int(o.Trial)) {
 			continue
 		}
-		cfg, err := normalizeConfig(ss.sp, o.Config)
+		cfg, err := ss.sp.Normalize(o.Config)
 		if err != nil {
 			return 0, 0, fmt.Errorf("trial %d: %w", o.Trial, err)
 		}

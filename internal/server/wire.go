@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"regexp"
 	"strconv"
 
@@ -60,7 +59,7 @@ func (ps ParamSpec) param() (space.Param, error) {
 		p = p.WithLog()
 	}
 	if ps.Default != nil {
-		def, err := coerceValue(p, ps.Default)
+		def, err := p.Coerce(ps.Default)
 		if err != nil {
 			return p, fmt.Errorf("param %q default: %w", ps.Name, err)
 		}
@@ -120,75 +119,6 @@ func buildSpace(specs []ParamSpec) (*space.Space, error) {
 		params[i] = p
 	}
 	return space.New(params...)
-}
-
-// coerceValue converts one untyped JSON value to the parameter's typed
-// Config representation (float64, int64, string, or bool).
-func coerceValue(p space.Param, v any) (any, error) {
-	switch p.Kind {
-	case space.KindFloat:
-		f, ok := asFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("want a number, got %T", v)
-		}
-		return f, nil
-	case space.KindInt:
-		f, ok := asFloat(v)
-		if !ok || f != math.Trunc(f) {
-			return nil, fmt.Errorf("want an integer, got %v", v)
-		}
-		return int64(f), nil
-	case space.KindCategorical:
-		s, ok := v.(string)
-		if !ok {
-			return nil, fmt.Errorf("want a string, got %T", v)
-		}
-		return s, nil
-	case space.KindBool:
-		b, ok := v.(bool)
-		if !ok {
-			return nil, fmt.Errorf("want a bool, got %T", v)
-		}
-		return b, nil
-	}
-	return nil, fmt.Errorf("unknown kind %v", p.Kind)
-}
-
-func asFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int64:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	}
-	return 0, false
-}
-
-// normalizeConfig types an untyped JSON config object against the space:
-// every key must name a known parameter, every value must coerce to the
-// parameter's kind, and the result must pass space validation.
-func normalizeConfig(sp *space.Space, raw map[string]any) (space.Config, error) {
-	if len(raw) == 0 {
-		return nil, errors.New("config is empty")
-	}
-	cfg := make(space.Config, len(raw))
-	for name, v := range raw {
-		p, ok := sp.Param(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown knob %q", name)
-		}
-		tv, err := coerceValue(p, v)
-		if err != nil {
-			return nil, fmt.Errorf("knob %q: %w", name, err)
-		}
-		cfg[name] = tv
-	}
-	if err := sp.Validate(cfg); err != nil {
-		return nil, err
-	}
-	return cfg, nil
 }
 
 // studyMeta is the durable study descriptor, persisted as record metaID

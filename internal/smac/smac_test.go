@@ -218,6 +218,6 @@ func TestSMACDeepHistoryAmortizesRefits(t *testing.T) {
 // minimize drives o against f for the budget through the tuning loop and
 // returns the incumbent.
 func minimize(o optimizer.Optimizer, f func(space.Config) float64, budget int) (space.Config, float64, error) {
-	rep, err := trial.Run(o, &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
+	rep, err := trial.Run(trial.NewStudy(o, nil), &trial.FuncEnv{F: f}, trial.Options{Budget: budget})
 	return rep.BestConfig, rep.BestValue, err
 }

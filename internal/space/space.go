@@ -447,6 +447,19 @@ func (s *Space) Active(cfg Config, name string) bool {
 // satisfies all constraints. Inactive conditional parameters may hold any
 // in-domain value (they are ignored by consumers).
 func (s *Space) Validate(cfg Config) error {
+	if err := s.validateValues(cfg); err != nil {
+		return err
+	}
+	for _, c := range s.constraints {
+		if !c.Check(cfg) {
+			return fmt.Errorf("%w: %s", ErrConstraint, c.Name)
+		}
+	}
+	return nil
+}
+
+// validateValues is Validate without the constraints.
+func (s *Space) validateValues(cfg Config) error {
 	for _, p := range s.params {
 		v, ok := cfg[p.Name]
 		if !ok {
@@ -483,12 +496,78 @@ func (s *Space) Validate(cfg Config) error {
 			}
 		}
 	}
-	for _, c := range s.constraints {
-		if !c.Check(cfg) {
-			return fmt.Errorf("%w: %s", ErrConstraint, c.Name)
-		}
-	}
 	return nil
+}
+
+// Normalize types an untyped JSON config object against the space: every
+// key must name a known parameter, every value must coerce to the
+// parameter's kind, and the result must hold an in-domain value for every
+// parameter. Constraints are not checked: a configuration that violates
+// one is still a well-formed configuration (a trial may have run it).
+func (s *Space) Normalize(raw map[string]any) (Config, error) {
+	if len(raw) == 0 {
+		return nil, errors.New("config is empty")
+	}
+	cfg := make(Config, len(raw))
+	for name, v := range raw {
+		p, ok := s.Param(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown knob %q", name)
+		}
+		tv, err := p.Coerce(v)
+		if err != nil {
+			return nil, fmt.Errorf("knob %q: %w", name, err)
+		}
+		cfg[name] = tv
+	}
+	if err := s.validateValues(cfg); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
+// Coerce converts one untyped JSON value to the parameter's typed Config
+// representation (float64, int64, string, or bool).
+func (p Param) Coerce(v any) (any, error) {
+	switch p.Kind {
+	case KindFloat:
+		f, ok := asFloat(v)
+		if !ok {
+			return nil, fmt.Errorf("want a number, got %T", v)
+		}
+		return f, nil
+	case KindInt:
+		f, ok := asFloat(v)
+		if !ok || f != math.Trunc(f) {
+			return nil, fmt.Errorf("want an integer, got %v", v)
+		}
+		return int64(f), nil
+	case KindCategorical:
+		s, ok := v.(string)
+		if !ok {
+			return nil, fmt.Errorf("want a string, got %T", v)
+		}
+		return s, nil
+	case KindBool:
+		b, ok := v.(bool)
+		if !ok {
+			return nil, fmt.Errorf("want a bool, got %T", v)
+		}
+		return b, nil
+	}
+	return nil, fmt.Errorf("unknown kind %v", p.Kind)
+}
+
+func asFloat(v any) (float64, bool) {
+	switch x := v.(type) {
+	case float64:
+		return x, true
+	case int64:
+		return float64(x), true
+	case int:
+		return float64(x), true
+	}
+	return 0, false
 }
 
 func (p Param) levelIndex(v string) int {

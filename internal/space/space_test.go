@@ -2,6 +2,7 @@ package space
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -190,6 +191,35 @@ func TestValidateErrors(t *testing.T) {
 	cfg["threads"] = 8 // wrong type: int not int64
 	if err := s.Validate(cfg); !errors.Is(err, ErrBadValue) {
 		t.Fatalf("wrong type: %v", err)
+	}
+}
+
+// TestNormalize: a JSON-decoded config, every number a float64, comes back
+// typed by the space; a value that cannot be typed or lies outside its
+// domain is an error. A violated constraint is not: the configuration is
+// still well-formed, and a trial may have run it.
+func TestNormalize(t *testing.T) {
+	s := testSpace(t).WithConstraints(Constraint{Name: "never", Check: func(Config) bool { return false }})
+	raw := map[string]any{"alpha": 0.5, "threads": 8.0, "buffer_mb": 128.0, "flush": "fsync", "compress": true}
+	cfg, err := s.Normalize(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := cfg["threads"].(int64); !ok || v != 8 {
+		t.Fatalf("threads = %#v, want int64(8)", cfg["threads"])
+	}
+	for name, mutate := range map[string]func(map[string]any){
+		"fractional int": func(m map[string]any) { m["threads"] = 8.5 },
+		"unknown knob":   func(m map[string]any) { m["bogus"] = 1.0 },
+		"wrong kind":     func(m map[string]any) { m["compress"] = "yes" },
+		"out of range":   func(m map[string]any) { m["alpha"] = 5.0 },
+		"missing":        func(m map[string]any) { delete(m, "flush") },
+	} {
+		bad := maps.Clone(raw)
+		mutate(bad)
+		if _, err := s.Normalize(bad); err == nil {
+			t.Errorf("%s: no error", name)
+		}
 	}
 }
 

@@ -96,16 +96,16 @@ func (s *Store) Nearest(workload map[string]float64, k int) ([]Record, error) {
 	return out, nil
 }
 
+// crashPenaltyFactor scales the made-up score for crashed trials:
+// penalty = factor x worst finite score in the replayed set. Crashed
+// trials are always replayed — "bad samples: reuse everywhere".
+const crashPenaltyFactor = 2
+
 // WarmStartOptions controls WarmStart.
 type WarmStartOptions struct {
 	// MaxTrials bounds how many prior observations are replayed
 	// (0 = all). The best trials are replayed preferentially.
 	MaxTrials int
-	// CrashPenaltyFactor scales the made-up score for crashed trials:
-	// penalty = factor x worst finite score in the replayed set
-	// (default 2). Crashed trials are always replayed — "bad samples:
-	// reuse everywhere".
-	CrashPenaltyFactor float64
 	// SimilarityWeighting, when true, inflates replayed scores from less
 	// similar workloads toward the mean, shrinking their influence.
 	SimilarityWeighting bool
@@ -119,9 +119,6 @@ type WarmStartOptions struct {
 // everywhere with an imputed penalty score. Returns the number of replayed
 // observations.
 func WarmStart(o optimizer.Optimizer, recs []Record, opts WarmStartOptions) (int, error) {
-	if opts.CrashPenaltyFactor <= 0 {
-		opts.CrashPenaltyFactor = 2
-	}
 	type item struct {
 		t       Trial
 		sim     float64
@@ -159,7 +156,7 @@ func WarmStart(o optimizer.Optimizer, recs []Record, opts WarmStartOptions) (int
 		finite = 1
 	}
 	mean := sum / float64(finite)
-	penalty := opts.CrashPenaltyFactor * worst
+	penalty := crashPenaltyFactor * worst
 	if penalty <= worst { // e.g. negative scores
 		penalty = worst + math.Abs(worst) + 1
 	}

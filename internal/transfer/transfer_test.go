@@ -225,8 +225,8 @@ func TestWarmStartSpeedsUpTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := optimizer.NewRandom(s, rand.New(rand.NewSource(8)))
-	_, _ = trial.Run(warm, &trial.FuncEnv{F: f}, trial.Options{Budget: 3})
-	cRep, _ := trial.Run(cold, &trial.FuncEnv{F: f}, trial.Options{Budget: 3})
+	_, _ = trial.Run(trial.NewStudy(warm, nil), &trial.FuncEnv{F: f}, trial.Options{Budget: 3})
+	cRep, _ := trial.Run(trial.NewStudy(cold, nil), &trial.FuncEnv{F: f}, trial.Options{Budget: 3})
 	// The warm incumbent counts the replayed prior as well as the loop.
 	wBest, cBest := warm.best(), cRep.BestValue
 	if wBest > cBest {

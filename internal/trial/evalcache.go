@@ -70,8 +70,8 @@ func (c *evalCache) fulfill(key evalKey, e *evalEntry, out trialOutcome) {
 	close(e.done)
 }
 
-// prime installs an already-completed result, used by Resume to re-warm the
-// cache from replayed journal records.
+// prime installs an already-completed result, used by RunContext to
+// re-warm the cache from the records a study replayed before the run.
 func (c *evalCache) prime(key evalKey, res Result) {
 	c.mu.Lock()
 	if _, exists := c.m[key]; !exists {

@@ -43,7 +43,7 @@ func (e *discreteEnv) Run(ctx context.Context, cfg space.Config, fid float64) (R
 func TestDedupEvalsCachesRepeats(t *testing.T) {
 	env := newDiscreteEnv("a", "bb", "ccc")
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))
-	rep, err := Run(o, env, Options{Budget: 30, DedupEvals: true})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 30, DedupEvals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDedupEvalsCachesRepeats(t *testing.T) {
 func TestDedupEvalsSingleFlightInBatch(t *testing.T) {
 	env := newDiscreteEnv("only")
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(9)))
-	rep, err := Run(o, env, Options{Budget: 8, Parallel: 4, DedupEvals: true})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 8, Parallel: 4, DedupEvals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,6 @@ func TestDedupEvalsKillMidBatchJournalAgrees(t *testing.T) {
 		Budget:     24,
 		Parallel:   4,
 		Scheduler:  &sched.Options{},
-		Store:      wal,
 		DedupEvals: true,
 	}
 	env := newDiscreteEnv("a", "bb", "ccc", "dddd", "eeeee", "ffffff")
@@ -111,14 +110,14 @@ func TestDedupEvalsKillMidBatchJournalAgrees(t *testing.T) {
 		}
 	}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(31)))
-	rep1, err := RunContext(ctx, o1, env, opts)
+	rep1, err := runJournaled(ctx, wal, "", o1, env, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(rep1.Trials) == 0 || len(rep1.Trials) >= opts.Budget {
 		t.Fatalf("pre-kill trials = %d, want a partial run", len(rep1.Trials))
 	}
-	recs, err := ReadStudyJournal(wal, "")
+	recs, err := readJournal(wal, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +136,14 @@ func TestDedupEvalsKillMidBatchJournalAgrees(t *testing.T) {
 
 	env2 := newDiscreteEnv("a", "bb", "ccc", "dddd", "eeeee", "ffffff")
 	o2 := optimizer.NewRandom(env2.sp, rand.New(rand.NewSource(32)))
-	rep2, err := Resume(o2, env2, opts)
+	rep2, err := runJournaled(context.Background(), wal, "", o2, env2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep2.Trials) != opts.Budget {
 		t.Fatalf("final trials = %d, want %d", len(rep2.Trials), opts.Budget)
 	}
-	final, err := ReadStudyJournal(wal, "")
+	final, err := readJournal(wal, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"autotune/internal/optimizer"
+	"autotune/internal/simsys"
 	"autotune/internal/space"
+	"autotune/internal/workload"
 )
 
 // countingEnv is a quadratic objective that counts Run invocations and can
@@ -53,9 +55,10 @@ func (e *countingEnv) Run(ctx context.Context, cfg space.Config, fid float64) (R
 
 func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 	env := newCountingEnv()
-	opts := Options{Budget: 25, Store: t.TempDir()}
+	store := t.TempDir()
+	opts := Options{Budget: 25}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(1)))
-	rep, err := Run(o1, env, opts)
+	rep, err := runJournaled(context.Background(), store, "", o1, env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestResumeFromCompleteCheckpointRunsNothing(t *testing.T) {
 	// Resume with a fresh optimizer: the store covers the full budget, so
 	// the environment must not be touched.
 	o2 := &toldOpt{Optimizer: optimizer.NewRandom(env.sp, rand.New(rand.NewSource(99)))}
-	rep2, err := Resume(o2, env, opts)
+	rep2, err := runJournaled(context.Background(), store, "", o2, env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 	env := newCountingEnv()
 	env.failEvery = 5
 	store := t.TempDir()
-	opts := Options{Budget: 30, Store: store}
+	opts := Options{Budget: 30}
 
 	// "Kill" the process after 12 trials by cancelling the context.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,11 +106,11 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 		return nil
 	}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(2)))
-	_, err := RunContext(ctx, o1, env, opts)
+	_, err := runJournaled(ctx, store, "", o1, env, opts)
 	if err == nil {
 		t.Fatal("cancelled run should report the context error")
 	}
-	partial, err := ReadStudyJournal(store, "")
+	partial, err := readJournal(store, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +123,7 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 	env.onRun = nil
 	before := env.runs.Load()
 	o2 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(3)))
-	rep, err := Resume(o2, env, opts)
+	rep, err := runJournaled(context.Background(), store, "", o2, env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 		}
 	}
 	// The final store matches the completed report.
-	final, err := ReadStudyJournal(store, "")
+	final, err := readJournal(store, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +152,41 @@ func TestResumeAfterKillContinuesWithoutRerun(t *testing.T) {
 	}
 	if best := (Report{Trials: final}).BestOverTime(); best[len(best)-1] != rep.BestValue {
 		t.Fatalf("final store's best %v, report's %v", best[len(best)-1], rep.BestValue)
+	}
+}
+
+// TestResumedBestConfigIsTyped: a resumed run hands back configs typed by
+// the space — an int knob as int64, not the float64 JSON decodes it to —
+// so its best config validates and re-runs like an uninterrupted run's.
+func TestResumedBestConfigIsTyped(t *testing.T) {
+	env := &SystemEnv{Sys: simsys.NewDBMS(simsys.MediumVM()), WL: workload.TPCC()}
+	store := t.TempDir()
+	opts := Options{Budget: 10}
+	o1 := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(1)))
+	want, err := runJournaled(context.Background(), store, "", o1, env, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2 := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(2)))
+	rep, err := runJournaled(context.Background(), store, "", o2, env, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != opts.Budget {
+		t.Fatalf("resumed %d trials, want %d", rep.Resumed, opts.Budget)
+	}
+	if !reflect.DeepEqual(rep.BestConfig, want.BestConfig) {
+		t.Fatalf("resumed best config %#v, uninterrupted %#v", rep.BestConfig, want.BestConfig)
+	}
+	if err := env.Space().Validate(rep.BestConfig); err != nil {
+		t.Fatalf("resumed best config does not validate: %v", err)
+	}
+	res, err := env.Run(context.Background(), rep.BestConfig, 1)
+	if err != nil {
+		t.Fatalf("re-running the resumed best config: %v", err)
+	}
+	if res.Value != rep.BestValue {
+		t.Fatalf("re-run scored %v, the report %v", res.Value, rep.BestValue)
 	}
 }
 
@@ -185,7 +223,7 @@ func TestRunParallelFlakyNoLostTrials(t *testing.T) {
 	env := newCountingEnv()
 	env.failEvery = 3 // a third of trials crash
 	o := &toldOpt{Optimizer: optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))}
-	rep, err := Run(o, env, Options{Budget: 64, Parallel: 8})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 64, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +278,7 @@ func (e *timeoutEnv) Run(ctx context.Context, cfg space.Config, fid float64) (Re
 func TestFidelityDegradesAfterTimeouts(t *testing.T) {
 	env := &timeoutEnv{sp: space.MustNew(space.Float("x", 0, 1)), threshold: 0.3}
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(5)))
-	rep, err := Run(o, env, Options{Budget: 10, Fidelity: 1, DegradeAfterTimeouts: 1})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 10, Fidelity: 1, DegradeAfterTimeouts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +305,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(6)))
-	_, err := RunContext(ctx, o, env, Options{Budget: 5})
+	_, err := RunContext(ctx, NewStudy(o, nil), env, Options{Budget: 5})
 	if err == nil {
 		t.Fatal("pre-cancelled context should error")
 	}
@@ -279,15 +317,15 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 func TestResumeRequiresCheckpoint(t *testing.T) {
 	env := newCountingEnv()
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(7)))
-	if _, err := Resume(o, env, Options{Budget: 5}); err == nil {
-		t.Fatal("resume without a store directory should error")
-	}
 	// A path that cannot be a store directory: resume must not start over.
 	notDir := filepath.Join(t.TempDir(), "nope.json")
 	if err := os.WriteFile(notDir, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(o, env, Options{Budget: 5, Store: notDir}); err == nil {
+	if _, err := OpenStudyJournal(notDir, ""); err == nil {
+		t.Fatal("opening a store that cannot be opened should error")
+	}
+	if _, err := runJournaled(context.Background(), notDir, "", o, env, Options{Budget: 5}); err == nil {
 		t.Fatal("resume from a store that cannot be opened should error")
 	}
 	if env.runs.Load() != 0 {

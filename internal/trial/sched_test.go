@@ -32,7 +32,7 @@ func runFleet(t *testing.T, hedge float64) Report {
 	t.Helper()
 	env := quadEnv()
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(7)))
-	rep, err := Run(o, env, Options{
+	rep, err := Run(NewStudy(o, nil), env, Options{
 		Budget:    100,
 		Parallel:  10,
 		Scheduler: &sched.Options{Hosts: tenHostFleet(), HedgeQuantile: hedge},
@@ -103,7 +103,6 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 		Budget:    20,
 		Parallel:  4,
 		Scheduler: &sched.Options{},
-		Store:     wal,
 	}
 
 	// Kill the run in the middle of the second batch: trial 7 cancels the
@@ -119,7 +118,7 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 		return nil
 	}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(21)))
-	rep1, err := RunContext(ctx, o1, env, opts)
+	rep1, err := runJournaled(ctx, wal, "", o1, env, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -128,7 +127,7 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 	}
 
 	// The WAL holds exactly the absorbed set: nothing lost, nothing extra.
-	recs, err := ReadStudyJournal(wal, "")
+	recs, err := readJournal(wal, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 	// re-run, and the budget completes.
 	env2 := newCountingEnv()
 	o2 := optimizer.NewRandom(env2.sp, rand.New(rand.NewSource(22)))
-	rep2, err := Resume(o2, env2, opts)
+	rep2, err := runJournaled(context.Background(), wal, "", o2, env2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestSchedKillMidBatchResumesFromJournalExactly(t *testing.T) {
 		}
 	}
 	// The resumed session appended its new trials to the same WAL.
-	recs2, err := ReadStudyJournal(wal, "")
+	recs2, err := readJournal(wal, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestRunPanicIsolatedAtTrialBoundary(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := &panickyEnv{sp: space.MustNew(space.Float("x", 0, 1))}
 			o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))
-			rep, err := Run(o, env, tc.opts)
+			rep, err := Run(NewStudy(o, nil), env, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,10 +252,9 @@ func TestSoakSchedulerTrialLoop(t *testing.T) {
 	hosts := []cloud.HostProfile{{Mult: 1}, {Mult: 1}, {Mult: 4, Outlier: true}, {Mult: 1}}
 	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(11)))
 	const budget, parallel = 160, 8
-	rep, err := Run(o, env, Options{
+	rep, err := runJournaled(context.Background(), wal, "", o, env, Options{
 		Budget:    budget,
 		Parallel:  parallel,
-		Store:     wal,
 		Scheduler: &sched.Options{Hosts: hosts, HedgeQuantile: 0.7, HedgeMinSamples: 4},
 	})
 	if err != nil {
@@ -290,7 +288,7 @@ func TestSoakSchedulerTrialLoop(t *testing.T) {
 			t.Fatalf("trial ID %d absorbed at position %d, outside its batch", tr.ID, i)
 		}
 	}
-	recs, err := ReadStudyJournal(wal, "")
+	recs, err := readJournal(wal, "", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package trial
 import (
 	"errors"
 	"fmt"
-	"os"
 
+	"autotune/internal/space"
 	"autotune/internal/studystore"
 )
 
@@ -22,7 +22,6 @@ var ErrJournalCorrupt = errors.New("trial: corrupt interior journal record")
 // their own.
 type JournalSink interface {
 	Append(batch []TrialRecord) error
-	Close() error
 }
 
 // StudyJournal adapts one study inside a crash-safe segmented study
@@ -32,6 +31,15 @@ type JournalSink interface {
 // silently skipping it. Multiple studies share one store directory.
 // Close closes the store, so a journal over a store somebody else owns
 // (NewStudyJournal) is simply never closed.
+//
+// A killed session resumes from the same handle it journals into:
+//
+//	sj, err := OpenStudyJournal(dir, study)
+//	defer sj.Close()
+//	history, err := sj.Records(env.Space())
+//	s := NewStudy(opt, sj)
+//	err = s.Replay(history)
+//	rep, err := Run(s, env, opts)
 type StudyJournal struct {
 	store *studystore.Store
 	study string
@@ -78,30 +86,22 @@ func (sj *StudyJournal) Close() error { return sj.store.Close() }
 // Store exposes the underlying store (stats, compaction, quarantine).
 func (sj *StudyJournal) Store() *studystore.Store { return sj.store }
 
-// ReadStudyJournal loads one study's records from the store at dir,
-// sorted by trial ID with duplicates dropped. A missing directory is an
-// empty journal, not an error. Payloads already passed CRC validation,
-// so a parse failure is real corruption, not a torn write — it surfaces
-// as ErrJournalCorrupt.
-func ReadStudyJournal(dir, study string) ([]TrialRecord, error) {
-	if study == "" {
-		study = "default"
-	}
-	if _, err := os.Stat(dir); os.IsNotExist(err) {
-		return nil, nil
-	}
-	st, err := studystore.Open(dir, studystore.Options{ReadOnly: true})
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	recs := st.Records(study)
+// Records loads this study's records, sorted by trial ID with duplicates
+// dropped, and types every config against sp (JSON gives back float64
+// for an int knob). Payloads already passed CRC validation, so a record
+// that fails to parse or normalize is real corruption, not a torn write —
+// it surfaces as ErrJournalCorrupt.
+func (sj *StudyJournal) Records(sp *space.Space) ([]TrialRecord, error) {
+	recs := sj.store.Records(sj.study)
 	out := make([]TrialRecord, 0, len(recs))
 	for _, r := range recs {
 		rec, err := DecodeRecord(r.Payload)
+		if err == nil {
+			rec.Config, err = sp.Normalize(rec.Config)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: store %s study %q record %d: %v",
-				ErrJournalCorrupt, dir, r.Study, r.ID, err)
+			return nil, fmt.Errorf("%w: study %q record %d: %v",
+				ErrJournalCorrupt, r.Study, r.ID, err)
 		}
 		out = append(out, rec)
 	}

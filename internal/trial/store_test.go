@@ -17,9 +17,9 @@ import (
 func TestRunWithStoreThenResume(t *testing.T) {
 	env := newCountingEnv()
 	dir := filepath.Join(t.TempDir(), "studies")
-	opts := Options{Budget: 8, Store: dir, Study: "exp"}
+	opts := Options{Budget: 8}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(1)))
-	rep, err := Run(o1, env, opts)
+	rep, err := runJournaled(context.Background(), dir, "exp", o1, env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRunWithStoreThenResume(t *testing.T) {
 	// touching the environment, then 8 more run.
 	opts.Budget = 16
 	o2 := &toldOpt{Optimizer: optimizer.NewRandom(env.sp, rand.New(rand.NewSource(9)))}
-	rep2, err := Resume(o2, env, opts)
+	rep2, err := runJournaled(context.Background(), dir, "exp", o2, env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunWithStoreThenResume(t *testing.T) {
 func TestRunStoreKillMidRunResumesExactly(t *testing.T) {
 	env := newCountingEnv()
 	dir := filepath.Join(t.TempDir(), "studies")
-	opts := Options{Budget: 30, Store: dir, Study: "kill", Parallel: 3}
+	opts := Options{Budget: 30, Parallel: 3}
 	ctx, cancel := context.WithCancel(context.Background())
 	env.onRun = func(n int64) error {
 		if n >= 12 {
@@ -58,10 +58,10 @@ func TestRunStoreKillMidRunResumesExactly(t *testing.T) {
 		return nil
 	}
 	o1 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(2)))
-	if _, err := RunContext(ctx, o1, env, opts); err == nil {
+	if _, err := runJournaled(ctx, dir, "kill", o1, env, opts); err == nil {
 		t.Fatal("cancelled run should report the context error")
 	}
-	recorded, err := ReadStudyJournal(dir, "kill")
+	recorded, err := readJournal(dir, "kill", env.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRunStoreKillMidRunResumesExactly(t *testing.T) {
 
 	env.onRun = nil
 	o2 := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(3)))
-	rep, err := Resume(o2, env, opts)
+	rep, err := runJournaled(context.Background(), dir, "kill", o2, env, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,26 +88,36 @@ func TestRunStoreKillMidRunResumesExactly(t *testing.T) {
 }
 
 // TestReadStudyJournalUndecodablePayloadErrors: a payload that passed the
-// store's CRC check yet does not parse is real corruption, not a torn
-// write, and must surface as ErrJournalCorrupt rather than be skipped.
+// store's CRC check yet does not parse, or parses to a config the space
+// cannot type, is real corruption, not a torn write, and must surface as
+// ErrJournalCorrupt rather than be skipped.
 func TestReadStudyJournalUndecodablePayloadErrors(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "studies")
-	sj, err := OpenStudyJournal(dir, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sj.Append([]TrialRecord{{ID: 0, Config: space.Config{"x": 0.1}, Value: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	bad := studystore.Record{Study: "a", ID: 1, Payload: []byte(`{"id":1,"value":0.`)}
-	if err := sj.Store().Append(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := sj.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadStudyJournal(dir, "a"); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("undecodable payload read = %v, want ErrJournalCorrupt", err)
+	sp := space.MustNew(space.Float("x", 0, 1))
+	for name, payload := range map[string]string{
+		"undecodable":    `{"id":1,"value":0.`,
+		"unknown knob":   `{"id":1,"config":{"y":0.5},"value":1}`,
+		"mistyped value": `{"id":1,"config":{"x":"high"},"value":1}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "studies")
+			sj, err := OpenStudyJournal(dir, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sj.Append([]TrialRecord{{ID: 0, Config: space.Config{"x": 0.1}, Value: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			bad := studystore.Record{Study: "a", ID: 1, Payload: []byte(payload)}
+			if err := sj.Store().Append(bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := sj.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readJournal(dir, "a", sp); !errors.Is(err, ErrJournalCorrupt) {
+				t.Fatalf("corrupt payload read = %v, want ErrJournalCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -118,25 +128,42 @@ func (c *collectSink) Append(batch []TrialRecord) error {
 	c.recs = append(c.recs, batch...)
 	return nil
 }
-func (c *collectSink) Close() error { return nil }
 
-// TestOptionsSinkOverridesStore: an explicit Sink wins over the Store
-// directory.
-func TestOptionsSinkOverridesStore(t *testing.T) {
-	env := newCountingEnv()
-	sink := &collectSink{}
-	dir := filepath.Join(t.TempDir(), "unused-store")
-	opts := Options{Budget: 6, Sink: sink, Store: dir}
-	o := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(4)))
-	if _, err := Run(o, env, opts); err != nil {
-		t.Fatal(err)
+// runJournaled is the resume recipe: open the study store at dir once,
+// replay the named study's records into a fresh Study around o, and run
+// that study to the budget. On an empty store it is a fresh journaled run.
+func runJournaled(ctx context.Context, dir, study string, o optimizer.Optimizer, env Environment, opts Options) (rep Report, err error) {
+	sj, err := OpenStudyJournal(dir, study)
+	if err != nil {
+		return Report{}, err
 	}
-	if len(sink.recs) != 6 {
-		t.Fatalf("sink received %d records, want 6", len(sink.recs))
+	defer func() {
+		if cerr := sj.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	history, err := sj.Records(env.Space())
+	if err != nil {
+		return Report{}, err
 	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("store directory created despite Sink override: %v", err)
+	s := NewStudy(o, sj)
+	if err := s.Replay(history); err != nil {
+		return Report{}, err
 	}
+	return RunContext(ctx, s, env, opts)
+}
+
+// readJournal loads the named study's records from the store at dir.
+func readJournal(dir, study string, sp *space.Space) ([]TrialRecord, error) {
+	sj, err := OpenStudyJournal(dir, study)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := sj.Records(sp)
+	if cerr := sj.Close(); err == nil {
+		err = cerr
+	}
+	return recs, err
 }
 
 // TestSaveCrashWindowsReaderNeverTorn walks every crash window of the

@@ -18,8 +18,8 @@ var ErrReadOnly = errors.New("trial: study is read-only")
 // Study is the ask/tell core: one optimizer, the sink that makes its
 // observations durable, and everything derived from the observed history —
 // the acked-ID set, the records, the next ID to hand out, the incumbent.
-// The library loop (Run/Resume) and the tuning daemon (internal/server)
-// both drive this type; neither keeps a copy of that state.
+// The library loop (Run) and the tuning daemon (internal/server) both
+// drive this type; neither keeps a copy of that state.
 //
 // The write-ahead order lives here and nowhere else: Observe appends the
 // batch to the sink, and only once that has returned feeds the optimizer

@@ -275,14 +275,15 @@ func TestStudyRebuildAtEveryStep(t *testing.T) {
 
 // TestRunOptimizerPanicIsAnErrorAndResumable: a strategy that panics under
 // Run comes back as an error wrapping ErrPanic instead of unwinding the
-// caller, everything absorbed by then is in the store, and Resume finishes
-// the budget from it without re-running a trial — on the barrier path and
+// caller, everything absorbed by then is in the store, and a resumed run
+// finishes the budget from it without re-running a trial — on the barrier path and
 // on the scheduler path.
 func TestRunOptimizerPanicIsAnErrorAndResumable(t *testing.T) {
 	for _, path := range []string{"barrier", "sched"} {
 		for _, where := range []string{"suggest", "observe"} {
 			t.Run(path+"/"+where, func(t *testing.T) {
-				opts := Options{Budget: 12, Parallel: 2, Store: t.TempDir()}
+				store := t.TempDir()
+				opts := Options{Budget: 12, Parallel: 2}
 				if path == "sched" {
 					opts.Scheduler = &sched.Options{}
 				}
@@ -293,14 +294,14 @@ func TestRunOptimizerPanicIsAnErrorAndResumable(t *testing.T) {
 				} else {
 					bomb.observePanicAt = 5
 				}
-				rep, err := Run(bomb, env, opts)
+				rep, err := runJournaled(context.Background(), store, "", bomb, env, opts)
 				if !errors.Is(err, ErrPanic) {
 					t.Fatalf("Run = %v, want an error wrapping ErrPanic", err)
 				}
 				if len(rep.Trials) == 0 || len(rep.Trials) >= opts.Budget {
 					t.Fatalf("report holds %d trials, want a partial run", len(rep.Trials))
 				}
-				durable, err := ReadStudyJournal(opts.Store, "")
+				durable, err := readJournal(store, "", env.sp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -310,7 +311,7 @@ func TestRunOptimizerPanicIsAnErrorAndResumable(t *testing.T) {
 
 				ranBefore := env.runs.Load()
 				healthy := optimizer.NewRandom(env.sp, rand.New(rand.NewSource(5)))
-				rep2, err := Resume(healthy, env, opts)
+				rep2, err := runJournaled(context.Background(), store, "", healthy, env, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -438,7 +439,7 @@ func TestIncumbentRule(t *testing.T) {
 				}
 			}
 			env := &seqEnv{sp: sp, values: tc.values, crash: tc.crashed}
-			rep, err := Run(optimizer.NewGridLevels(sp, len(tc.values)), env, Options{Budget: len(tc.values)})
+			rep, err := Run(NewStudy(optimizer.NewGridLevels(sp, len(tc.values)), nil), env, Options{Budget: len(tc.values)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,14 +5,15 @@
 // box from the tutorial's architecture slide.
 //
 // Trials are cancellable and deadline-bounded: Environment.Run takes a
-// context.Context, RunContext aborts cleanly between batches when the
-// context is cancelled, and Options.Store journals every completed trial
-// before the optimizer observes it so Resume can replay a killed session
-// into a fresh optimizer without re-running completed trials. The loop
-// here is a driver — ask, evaluate, impute the crash penalty, tell —
-// around the ask/tell core in study.go, which the tuning daemon drives
-// over HTTP instead. Fault-hardening wrappers (retry with backoff,
-// per-trial deadlines, quarantine) live in internal/resilience.
+// context.Context, and RunContext aborts cleanly between batches when the
+// context is cancelled. The loop here is a driver — ask, evaluate, impute
+// the crash penalty, tell — around the ask/tell core in study.go, which
+// the tuning daemon drives over HTTP instead. A Study built over a
+// StudyJournal journals every completed trial before the optimizer
+// observes it, so a killed session resumes by replaying the journal into
+// a fresh Study and running it again, without re-running completed
+// trials. Fault-hardening wrappers (retry with backoff, per-trial
+// deadlines, quarantine) live in internal/resilience.
 package trial
 
 import (
@@ -25,7 +26,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"autotune/internal/optimizer"
 	"autotune/internal/sched"
 	"autotune/internal/simsys"
 	"autotune/internal/space"
@@ -153,7 +153,7 @@ func (e *SystemEnv) Run(ctx context.Context, cfg space.Config, fidelity float64)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if fidelity <= 0 || fidelity > 1 {
+	if !(fidelity > 0 && fidelity <= 1) {
 		fidelity = 1
 	}
 	base := e.BaseDurationSec
@@ -213,21 +213,15 @@ type Options struct {
 	// (default 1 = sequential). Batch suggestions use
 	// optimizer.BatchSuggester when available.
 	Parallel int
-	// Fidelity for all trials (default 1).
+	// Fidelity for all trials, in (0, 1] (default 1).
 	Fidelity float64
 	// AbortMargin, when > 0, enables early abort on Abortable
 	// environments at threshold best*(1+AbortMargin).
 	AbortMargin float64
-	// CrashPenaltyFactor scores crashed trials at factor x the worst
-	// finite value so far (default 2). The penalty keeps optimizers away
-	// from the cliff without poisoning surrogates with infinities.
-	CrashPenaltyFactor float64
 	// DegradeAfterTimeouts, when > 0, halves the working fidelity after
 	// this many consecutive timed-out trials (graceful degradation when
 	// the environment is persistently too slow for its deadline).
 	DegradeAfterTimeouts int
-	// MinFidelity floors fidelity degradation (default 0.1).
-	MinFidelity float64
 	// Scheduler, when non-nil, replaces the synchronized batch barrier
 	// with the supervised asynchronous pool from internal/sched: bounded
 	// workers mapped onto host slots, panic isolation, straggler hedging,
@@ -235,24 +229,6 @@ type Options struct {
 	// the batch size; Scheduler.Workers defaults to Parallel. The default
 	// virtual clock keeps identically-seeded runs bitwise identical.
 	Scheduler *sched.Options
-	// HedgeQuantile in (0,1) is a convenience knob: it enables the
-	// scheduler (with defaults) and hedges trials that run past this
-	// quantile of recent trial durations. Ignored when Scheduler already
-	// sets its own quantile.
-	HedgeQuantile float64
-	// Store, when non-empty, journals every completed trial into the
-	// crash-safe segmented study store at this directory *before* the
-	// optimizer observes it (internal/studystore: CRC-framed records,
-	// fsync barriers, snapshot compaction, quarantined corruption). A run
-	// killed mid-batch resumes from the store with every finished trial
-	// intact; see Resume.
-	Store string
-	// Study names the study within Store that this run's trials belong
-	// to; empty means "default". Ignored unless Store is set.
-	Study string
-	// Sink, when non-nil, overrides Store with a custom write-ahead sink.
-	// The caller owns its lifecycle — the run does not Close it.
-	Sink JournalSink
 	// DedupEvals enables the single-flight evaluation cache: when the
 	// optimizer re-suggests a (config, fidelity) pair that already
 	// completed successfully, the cached measurement is reused at zero
@@ -265,6 +241,14 @@ type Options struct {
 	DedupEvals bool
 }
 
+// crashPenaltyFactor scores crashed trials at this factor times the worst
+// finite value so far. The penalty keeps optimizers away from the cliff
+// without poisoning surrogates with infinities.
+const crashPenaltyFactor = 2
+
+// minFidelity floors fidelity degradation (Options.DegradeAfterTimeouts).
+const minFidelity = 0.1
+
 func (o Options) withDefaults() (Options, error) {
 	if o.Budget <= 0 {
 		return o, errors.New("trial: budget must be positive")
@@ -272,26 +256,14 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Parallel < 1 {
 		o.Parallel = 1
 	}
-	if o.Fidelity <= 0 || o.Fidelity > 1 {
+	if o.Fidelity == 0 {
 		o.Fidelity = 1
 	}
-	if o.CrashPenaltyFactor <= 0 {
-		o.CrashPenaltyFactor = 2
-	}
-	if o.MinFidelity <= 0 {
-		o.MinFidelity = 0.1
-	}
-	if o.HedgeQuantile < 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0
-	}
-	if o.Scheduler == nil && o.HedgeQuantile > 0 {
-		o.Scheduler = &sched.Options{}
+	if !(o.Fidelity > 0 && o.Fidelity <= 1) { // NaN fails both comparisons
+		return o, fmt.Errorf("trial: fidelity %v outside (0, 1]", o.Fidelity)
 	}
 	if o.Scheduler != nil {
 		sc := *o.Scheduler // default a copy; the caller's struct stays untouched
-		if sc.HedgeQuantile == 0 {
-			sc.HedgeQuantile = o.HedgeQuantile
-		}
 		if sc.Workers <= 0 {
 			if len(sc.Hosts) > 0 {
 				sc.Workers = len(sc.Hosts)
@@ -344,7 +316,8 @@ type Report struct {
 	// fidelity halvings triggered by consecutive timeouts.
 	Timeouts     int `json:"timeouts,omitempty"`
 	Degradations int `json:"degradations,omitempty"`
-	// Resumed counts trials replayed from the study store rather than run.
+	// Resumed counts the records the study already held when the run
+	// started: replayed from a journal rather than run.
 	Resumed int `json:"resumed,omitempty"`
 	// Hedges counts duplicate attempts launched by the scheduler;
 	// HedgeWins counts trials where the duplicate finished first.
@@ -358,86 +331,33 @@ type Report struct {
 	CacheHits int `json:"cache_hits,omitempty"`
 }
 
-// Run drives the optimizer against the environment for the full budget.
-func Run(o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
+// Run drives the study against the environment until it holds
+// opts.Budget records.
+func Run(s *Study, env Environment, opts Options) (Report, error) {
 	//autolint:ignore ctxpass public context-free convenience wrapper over RunContext
-	return RunContext(context.Background(), o, env, opts)
+	return RunContext(context.Background(), s, env, opts)
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the loop
 // stops at the next batch boundary (the in-flight batch is discarded) and
 // returns the partial report together with the context's error. Every
-// trial in that report is already in the study store, if one is set.
-func RunContext(ctx context.Context, o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
+// trial in that report is already in the study's sink, if it has one.
+//
+// The study may already hold records — a history it replayed from a
+// journal, say: they count toward the budget, the report's counters and
+// Resumed, and the environment never re-runs them. A history that already
+// covers the budget returns without touching the environment. The report
+// is filled in on every return path.
+func RunContext(ctx context.Context, s *Study, env Environment, opts Options) (Report, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return Report{}, err
 	}
-	return drive(ctx, o, env, opts, nil)
-}
-
-// Resume continues a tuning session from the write-ahead journal in the
-// segmented study store at opts.Store: the recorded trials are replayed
-// into the optimizer (Observe only — the environment is not re-run), the
-// report's counters and the incumbent are derived from them, and the loop
-// continues until the budget is reached. The journal holds every trial
-// that finished, including those of a batch that was killed half way, so
-// a mid-batch kill loses zero finished trials and re-runs none of them. A
-// history that already covers the budget returns immediately without
-// touching the environment.
-func Resume(o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
-	//autolint:ignore ctxpass public context-free convenience wrapper over ResumeContext
-	return ResumeContext(context.Background(), o, env, opts)
-}
-
-// ResumeContext is Resume with cancellation.
-func ResumeContext(ctx context.Context, o optimizer.Optimizer, env Environment, opts Options) (Report, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return Report{}, err
-	}
-	if opts.Store == "" {
-		return Report{}, errors.New("trial: resume needs Options.Store")
-	}
-	history, err := ReadStudyJournal(opts.Store, opts.Study)
-	if err != nil {
-		return Report{}, fmt.Errorf("trial: resume: %w", err)
-	}
-	return drive(ctx, o, env, opts, history)
-}
-
-// driver is the library loop around a Study: it evaluates what the study
-// suggests, scores crashes, tells the study, and keeps the counters a
-// Report carries that the trial records alone do not determine.
-type driver struct {
-	opts           Options
-	study          *Study
-	rep            Report
-	cache          *evalCache // nil unless Options.DedupEvals
-	worstFinite    float64    // scale of the crash penalty
-	consecTimeouts int
-}
-
-// drive replays history (nil for a fresh run) and runs the loop to the
-// budget. The report is filled in on every return path.
-func drive(ctx context.Context, o optimizer.Optimizer, env Environment, opts Options, history []TrialRecord) (Report, error) {
-	sink := opts.Sink
-	if sink == nil && opts.Store != "" {
-		sj, err := OpenStudyJournal(opts.Store, opts.Study)
-		if err != nil {
-			return Report{}, err
-		}
-		defer sj.Close()
-		sink = sj
-	}
-	d := &driver{opts: opts, study: NewStudy(o, sink), worstFinite: math.Inf(-1)}
+	d := &driver{opts: opts, study: s, worstFinite: math.Inf(-1)}
 	if opts.DedupEvals {
 		d.cache = newEvalCache()
 	}
-	err := d.study.Replay(history)
-	if err != nil {
-		err = fmt.Errorf("trial: resume replay: %w", err)
-	}
+	history := s.Records()
 	d.rep.Resumed = len(history)
 	for _, tr := range history {
 		d.count(tr)
@@ -455,18 +375,28 @@ func drive(ctx context.Context, o optimizer.Optimizer, env Environment, opts Opt
 		d.cache.prime(evalKey{cfg: tr.Config.Key(), fidelity: fid},
 			Result{Value: tr.Value, CostSeconds: tr.CostSeconds})
 	}
-	if err == nil {
-		err = d.loop(ctx, env)
-	}
-	d.rep.Trials = d.study.Records()
+	err = d.loop(ctx, env)
+	d.rep.Trials = s.Records()
 	d.rep.BestValue = math.Inf(1)
-	if best, ok := d.study.Best(); ok {
+	if best, ok := s.Best(); ok {
 		d.rep.BestValue = best.Value
 		d.rep.BestConfig = best.Config.Clone()
 	} else if err == nil {
 		err = errors.New("trial: no successful trials")
 	}
 	return d.rep, err
+}
+
+// driver is the library loop around a Study: it evaluates what the study
+// suggests, scores crashes, tells the study, and keeps the counters a
+// Report carries that the trial records alone do not determine.
+type driver struct {
+	opts           Options
+	study          *Study
+	rep            Report
+	cache          *evalCache // nil unless Options.DedupEvals
+	worstFinite    float64    // scale of the crash penalty
+	consecTimeouts int
 }
 
 // count folds one recorded trial — replayed or just told — into the
@@ -519,7 +449,7 @@ func (d *driver) tell(cfg space.Config, r trialOutcome, id int, fid float64, hed
 		if math.IsInf(d.worstFinite, -1) {
 			rec.Value = 1e6
 		} else {
-			rec.Value = d.opts.CrashPenaltyFactor * math.Max(d.worstFinite, math.Abs(d.worstFinite))
+			rec.Value = crashPenaltyFactor * math.Max(d.worstFinite, math.Abs(d.worstFinite))
 			if rec.Value <= d.worstFinite {
 				rec.Value = d.worstFinite + 1
 			}
@@ -547,8 +477,8 @@ func (d *driver) runBarrierBatch(ctx context.Context, env Environment, first int
 	results := runBatch(ctx, env, d.cache, batch, d.opts, fid, d.bestValue())
 	if err := ctx.Err(); err != nil {
 		// The batch raced with cancellation; its results are suspect
-		// (environments may have returned early) — drop them and let
-		// Resume re-run the batch.
+		// (environments may have returned early) — drop them and let a
+		// resumed run re-run the batch.
 		return err
 	}
 	batchMaxCost := 0.0
@@ -650,8 +580,8 @@ func (d *driver) loop(ctx context.Context, env Environment) error {
 		// Graceful degradation: a deadline the environment persistently
 		// misses means the fidelity is too expensive for this host —
 		// halve it instead of burning the rest of the budget on timeouts.
-		if opts.DegradeAfterTimeouts > 0 && d.consecTimeouts >= opts.DegradeAfterTimeouts && fid > opts.MinFidelity {
-			fid = math.Max(fid/2, opts.MinFidelity)
+		if opts.DegradeAfterTimeouts > 0 && d.consecTimeouts >= opts.DegradeAfterTimeouts && fid > minFidelity {
+			fid = math.Max(fid/2, minFidelity)
 			d.rep.Degradations++
 			d.consecTimeouts = 0
 		}

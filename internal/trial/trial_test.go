@@ -24,7 +24,7 @@ func quadEnv() *FuncEnv {
 func TestRunSequential(t *testing.T) {
 	env := quadEnv()
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(1)))
-	rep, err := Run(o, env, Options{Budget: 50})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunParallelWallClock(t *testing.T) {
 	env := quadEnv()
 	env.CostPerTrial = 10
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(2)))
-	rep, err := Run(o, env, Options{Budget: 40, Parallel: 4})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 40, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunParallelWallClock(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	env := quadEnv()
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(3)))
-	if _, err := Run(o, env, Options{}); err == nil {
+	if _, err := Run(NewStudy(o, nil), env, Options{}); err == nil {
 		t.Fatal("budget 0 should error")
 	}
 }
@@ -76,7 +76,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunGridExhaustion(t *testing.T) {
 	env := quadEnv()
 	o := optimizer.NewGridLevels(env.Space(), 5)
-	rep, err := Run(o, env, Options{Budget: 100})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func (e *crashyEnv) Run(_ context.Context, cfg space.Config, fid float64) (Resul
 func TestRunCrashHandling(t *testing.T) {
 	env := &crashyEnv{sp: space.MustNew(space.Float("x", 0, 1))}
 	o := &toldOpt{Optimizer: optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(4)))}
-	rep, err := Run(o, env, Options{Budget: 60})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSystemEnvRuns(t *testing.T) {
 		WL:  workload.TPCC(),
 	}
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(5)))
-	rep, err := Run(o, env, Options{Budget: 20})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEarlyAbortSavesCost(t *testing.T) {
 			WL:  workload.TPCH(1),
 		}
 		o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(6)))
-		rep, err := Run(o, env, Options{Budget: 30, AbortMargin: margin})
+		rep, err := Run(NewStudy(o, nil), env, Options{Budget: 30, AbortMargin: margin})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestEarlyAbortSavesCost(t *testing.T) {
 func TestReportSaveLoad(t *testing.T) {
 	env := quadEnv()
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(7)))
-	rep, err := Run(o, env, Options{Budget: 10})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestReportSaveLoad(t *testing.T) {
 func TestBestOverTimeMonotone(t *testing.T) {
 	env := quadEnv()
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(8)))
-	rep, err := Run(o, env, Options{Budget: 30})
+	rep, err := Run(NewStudy(o, nil), env, Options{Budget: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestBestOverTimeMonotone(t *testing.T) {
 func TestAllSuccessfulTrialsFail(t *testing.T) {
 	env := &crashyEnv{sp: space.MustNew(space.Float("x", 0.9, 1))} // always crashes
 	o := optimizer.NewRandom(env.Space(), rand.New(rand.NewSource(9)))
-	if _, err := Run(o, env, Options{Budget: 5}); err == nil {
+	if _, err := Run(NewStudy(o, nil), env, Options{Budget: 5}); err == nil {
 		t.Fatal("all-crash run should error")
 	}
 }
@@ -258,5 +258,32 @@ func TestAllSuccessfulTrialsFail(t *testing.T) {
 func TestErrCrashAlias(t *testing.T) {
 	if !errors.Is(ErrCrash, simsys.ErrCrash) {
 		t.Fatal("ErrCrash should alias simsys.ErrCrash")
+	}
+}
+
+// TestOptionsFidelity: 0 is the unset value and defaults to 1; anything
+// else outside (0, 1] is an error, NaN included, which fails every
+// comparison and would otherwise run a whole study on NaN.
+func TestOptionsFidelity(t *testing.T) {
+	for _, tc := range []struct {
+		in, want float64
+		bad      bool
+	}{
+		{in: math.NaN(), bad: true},
+		{in: -0.5, bad: true},
+		{in: 1.5, bad: true},
+		{in: 0, want: 1},
+		{in: 0.5, want: 0.5},
+	} {
+		o, err := Options{Budget: 1, Fidelity: tc.in}.withDefaults()
+		if tc.bad {
+			if err == nil {
+				t.Errorf("fidelity %v: no error", tc.in)
+			}
+			continue
+		}
+		if err != nil || o.Fidelity != tc.want {
+			t.Errorf("fidelity %v: got %v, %v; want %v", tc.in, o.Fidelity, err, tc.want)
+		}
 	}
 }
